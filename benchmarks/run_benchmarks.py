@@ -75,7 +75,7 @@ from repro.mc.queries import (
     check_many,
     zone_graph_stats,
 )
-from repro.zones.backend import available_backends, set_backend
+from repro.zones.backend import available_backends
 from repro.zones.intern import ZoneInternTable
 
 from tests.conftest import build_tiny_pim, build_tiny_scheme  # noqa: E402
@@ -413,21 +413,19 @@ def _bench_portfolio_tiny(results, backends, executors, jobs_list):
             for backend in backends:
                 # A fresh verifier per repeat keeps every timed run
                 # cold (no verdict-memo or pool state carries over).
-                def sweep(jobs=jobs, executor=executor):
+                def sweep(jobs=jobs, executor=executor,
+                          backend=backend):
                     verifier = PortfolioVerifier(jobs=jobs,
                                                  executor=executor,
-                                                 max_states=500_000)
+                                                 max_states=500_000,
+                                                 backend=backend)
                     return verifier.run(portfolio_jobs(
                         pim, schemes,
                         input_channel="m_Req",
                         output_channel="c_Ack",
                         deadline_ms=10, measure_suprema=True))
 
-                set_backend(backend)
-                try:
-                    outcome, seconds = _timed_best(sweep)
-                finally:
-                    set_backend(None)
+                outcome, seconds = _timed_best(sweep)
                 assert outcome.all_ok, \
                     [row.error for row in outcome if not row.ok]
                 key = [(row.states, row.transitions,
@@ -457,21 +455,14 @@ def _bench_portfolio(results, backend, jobs, abstraction=None,
     table = ZoneInternTable()
     verifier = PortfolioVerifier(jobs=jobs, executor=executor,
                                  max_states=2_000_000,
-                                 intern=table, abstraction=abstraction,
+                                 intern=table, backend=backend,
+                                 abstraction=abstraction,
                                  reuse=reuse, prune_dominated=reuse)
-    # The portfolio pipeline has no zone_backend parameter (it runs
-    # whole framework pipelines); pin the ambient backend so the
-    # recorded label matches what was actually measured even under a
-    # REPRO_ZONE_BACKEND override.
-    set_backend(backend)
-    try:
-        outcome, seconds = _timed(lambda: verifier.run(portfolio_jobs(
-            pim, schemes,
-            input_channel="m_BolusReq",
-            output_channel="c_StartInfusion",
-            deadline_ms=REQ1_DEADLINE_MS)))
-    finally:
-        set_backend(None)
+    outcome, seconds = _timed(lambda: verifier.run(portfolio_jobs(
+        pim, schemes,
+        input_channel="m_BolusReq",
+        output_channel="c_StartInfusion",
+        deadline_ms=REQ1_DEADLINE_MS)))
     assert outcome.all_ok, [row.error for row in outcome if not row.ok]
     canonical = [row for row in outcome
                  if "buffer_size=5,period=100,bolus_poll=380,"
@@ -534,16 +525,13 @@ def _bench_portfolio_fault_grid(results, backend, jobs, quick):
 
     def sweep(schemes):
         verifier = PortfolioVerifier(jobs=jobs, max_states=max_states,
+                                     backend=backend,
                                      abstraction=abstraction)
         return verifier.run(portfolio_jobs(
             pim, schemes, deadline_ms=deadline, **channels))
 
-    set_backend(backend)
-    try:
-        outcome, seconds = _timed(lambda: sweep(grid.build()))
-        baseline = sweep([plain])
-    finally:
-        set_backend(None)
+    outcome, seconds = _timed(lambda: sweep(grid.build()))
+    baseline = sweep([plain])
     assert outcome.all_ok, [row.error for row in outcome if not row.ok]
 
     def identity(row):

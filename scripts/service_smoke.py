@@ -1,8 +1,9 @@
 #!/usr/bin/env python
 """End-to-end smoke test of the ``repro serve`` daemon.
 
-Boots the daemon as a real subprocess (``python -m repro.cli serve``
-on a unix socket), then exercises the acceptance path of the service:
+Boots the daemon as a real subprocess (``python -m repro.cli
+--zone-backend reference serve`` on a unix socket), then exercises the
+acceptance path of the service:
 
 1. ping until the server answers;
 2. submit a 6-scheme tiny portfolio — rows must be **bit-identical**
@@ -13,7 +14,9 @@ on a unix socket), then exercises the acceptance path of the service:
 4. stream a simulated trace through the ``monitor`` op — the verdict
    must come back conforming, and a second request must reuse the
    server's precompiled monitor model;
-5. SIGTERM the daemon — it must drain and exit 0.
+5. read ``stats`` — its ``engine`` block must report the one config
+   the daemon resolved at boot (``backend == "reference"``);
+6. SIGTERM the daemon — it must drain and exit 0.
 
 Run from a checkout (``python scripts/service_smoke.py``) or CI; any
 failure exits nonzero with a message.
@@ -109,8 +112,8 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         address = os.path.join(tmp, "repro.sock")
         server = subprocess.Popen(
-            [sys.executable, "-m", "repro.cli", "--jobs", "2",
-             "serve", "--unix", address],
+            [sys.executable, "-m", "repro.cli",
+             "--zone-backend", "reference", "serve", "--unix", address],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True)
         try:
@@ -157,6 +160,10 @@ def main() -> int:
             fail(f"simulated trace did not conform: {monitor_rows}")
         if not remonitored.ordered_rows()[0].get("conforming"):
             fail("re-monitored trace did not conform")
+        engine = stats.get("engine") or {}
+        if engine.get("backend") != "reference":
+            fail(f"daemon does not report the --zone-backend it was "
+                 f"booted with: engine={engine}")
         monitor_stats = stats.get("monitor") or {}
         if monitor_stats.get("models") != 1:
             fail(f"monitor model not cached across requests: "
@@ -168,8 +175,8 @@ def main() -> int:
 
     print(f"OK: {len(jobs)} jobs verified twice — run 1 origins "
           f"{first.origins()}, run 2 all memo, {hits} cache hits, "
-          f"conforming monitor verdict (model cached), "
-          f"clean SIGTERM drain")
+          f"conforming monitor verdict (model cached), engine "
+          f"{engine}, clean SIGTERM drain")
     return 0
 
 

@@ -210,17 +210,21 @@ class Table1:
 
 
 def run_case_study(*, trials: int = 60, seed: int = 2015,
-                   max_states: int = 2_000_000,
+                   framework: TimingVerificationFramework | None = None,
                    measure_suprema: bool = False,
                    include_progress: bool = False) -> Table1:
     """The complete Section-VI experiment: verify + measure + tabulate.
 
-    ``include_progress`` additionally runs the (expensive) stuck-state
-    scan; the dedicated constraint benchmark covers it.
+    ``framework`` is the engine the verification runs on (default: a
+    default-configured one with a 2M-state budget; the CLI passes its
+    session's).  ``include_progress`` additionally runs the
+    (expensive) stuck-state scan; the dedicated constraint benchmark
+    covers it.
     """
     pim = build_infusion_pim()
     scheme = case_study_scheme()
-    framework = TimingVerificationFramework(max_states=max_states)
+    if framework is None:
+        framework = TimingVerificationFramework(max_states=2_000_000)
     report = framework.verify(
         pim, scheme,
         input_channel="m_BolusReq",

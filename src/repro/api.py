@@ -1,18 +1,18 @@
 """``repro.api`` — the unified front door to the framework.
 
 Every entry point in this repo — the verifier, the portfolio sweep,
-the service daemon and the new conformance monitor — is configured by
-the same four knobs (zone backend, abstraction, worker count, job
-executor) plus the optional fault axes.  Historically each call site
-threaded those knobs by hand (CLI flags → ``set_backend`` /
-``set_default_jobs`` globals → per-function keyword arguments), which
-meant every new entry point re-invented the resolution order.
+the service daemon and the conformance monitor — is configured by the
+same four engine knobs (zone backend, abstraction, worker count, job
+executor) plus the optional fault axes.
 
 :class:`Session` resolves the knobs **once**, at construction time,
-with the canonical precedence *explicit argument > process override >
-environment variable > default* (delegating to the existing
-resolvers, which consult :mod:`repro.envvars`), and exposes the
-verbs off that shared configuration::
+through :meth:`~repro.mc.parallel.EngineConfig.resolve` — the only
+code that reads the ``REPRO_*`` environment variables — in the order
+*explicit argument > environment variable > default*.  The resolved
+values are then passed explicitly to every layer below (framework,
+portfolio verifier, explorers, monitor models); nothing is installed
+process-wide, so sessions with different settings can run
+concurrently in one process::
 
     from repro.api import Session
 
@@ -26,39 +26,25 @@ A mis-set environment variable (say ``REPRO_JOBS=banana``) therefore
 fails at ``Session(...)`` time with a targeted
 :class:`~repro.envvars.EnvVarError`, not halfway through a long
 verification run.
-
-The old per-function knob-threading style keeps working through the
-module-level :func:`verify` / :func:`portfolio` / :func:`monitor`
-wrappers, which emit a :class:`DeprecationWarning` and build a
-one-shot :class:`Session` internally.
 """
 
 from __future__ import annotations
 
-import warnings
-from contextlib import contextmanager
+from dataclasses import asdict
 from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from repro.core.framework import (
     TimingVerificationFramework,
     VerificationReport,
 )
-from repro.mc.parallel import resolve_jobs
-from repro.mc.portfolio import resolve_executor
+from repro.mc.parallel import EngineConfig
 from repro.ta.bounds import resolve_abstraction
-from repro.zones import backend as _zone_backend
-from repro.zones.backend import requested_backend
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.monitor import MonitorModel
     from repro.service.client import ServiceClient
 
-__all__ = [
-    "Session",
-    "verify",
-    "portfolio",
-    "monitor",
-]
+__all__ = ["Session"]
 
 #: ``Session(faults=...)`` accepts the same axis names as the CLI
 #: ``--faults`` flag (short spellings) or the scheme-factory keyword
@@ -91,19 +77,23 @@ def _normalize_faults(faults) -> dict[str, list[int]]:
 class Session:
     """One resolved configuration, many verification verbs.
 
+    Each engine knob resolves once, here, in the order *explicit
+    argument > ``REPRO_*`` environment variable > default*; the
+    resolved values are passed explicitly to every call the session
+    makes.
+
     Parameters
     ----------
     backend:
         Zone-backend spec (``auto`` / ``reference`` / ``numpy`` /
-        ``native``); ``None`` defers to ``set_backend`` /
-        ``REPRO_ZONE_BACKEND`` / ``auto``.
+        ``native``); ``None`` defers to ``REPRO_ZONE_BACKEND``, then
+        ``auto``.
     abstraction:
         Extrapolation operator (``extra_m`` / ``extra_lu``); ``None``
-        defers to ``set_abstraction`` / ``REPRO_ABSTRACTION``.
+        defers to ``REPRO_ABSTRACTION``, then ``extra_m``.
     jobs:
         Worker count for the sharded explorer; ``None`` defers to
-        ``set_default_jobs`` / ``REPRO_JOBS`` (and then means the
-        sequential engine).
+        ``REPRO_JOBS`` (and then means the sequential engine).
     executor:
         Portfolio job executor (``thread`` / ``process``); ``None``
         defers to ``REPRO_EXECUTOR`` / ``thread``.
@@ -126,10 +116,13 @@ class Session:
                  faults: Mapping | None = None,
                  max_states: int = 1_000_000,
                  monitor_max_states: int = 200_000):
-        self.backend = requested_backend(backend)
-        self.abstraction = resolve_abstraction(abstraction)
-        self.jobs = resolve_jobs(jobs)
-        self.executor = resolve_executor(executor)
+        self.engine = EngineConfig.resolve(
+            backend=backend, abstraction=abstraction, jobs=jobs,
+            executor=executor)
+        self.backend = self.engine.backend
+        self.abstraction = resolve_abstraction(self.engine.abstraction)
+        self.jobs = self.engine.jobs
+        self.executor = self.engine.executor
         self.faults = _normalize_faults(faults)
         self.max_states = max_states
         self.monitor_max_states = monitor_max_states
@@ -140,10 +133,7 @@ class Session:
     def describe(self) -> dict:
         """The resolved configuration, JSON-friendly."""
         return {
-            "backend": self.backend,
-            "abstraction": self.abstraction.name,
-            "jobs": self.jobs,
-            "executor": self.executor,
+            **asdict(self.engine),
             "faults": {k: list(v) for k, v in self.faults.items()},
             "max_states": self.max_states,
         }
@@ -170,24 +160,6 @@ class Session:
         return {name: list(values)
                 for name, values in self.faults.items()}
 
-    # -- knob application ----------------------------------------------
-    @contextmanager
-    def _applied(self):
-        """Pin the session's backend for the duration of a call.
-
-        The framework and the explorer resolve the zone backend
-        through the process-wide spec; install this session's choice
-        for the call and restore the previous override after, so
-        concurrent code using a different ``Session`` (or none) is
-        unaffected once the call returns.
-        """
-        previous = _zone_backend._forced
-        _zone_backend.set_backend(self.backend)
-        try:
-            yield
-        finally:
-            _zone_backend._forced = previous
-
     @property
     def framework(self) -> TimingVerificationFramework:
         """The lazily-built engine behind :meth:`verify`."""
@@ -195,6 +167,7 @@ class Session:
             self._framework = TimingVerificationFramework(
                 max_states=self.max_states,
                 jobs=self.jobs,
+                backend=self.backend,
                 abstraction=self.abstraction.name)
         return self._framework
 
@@ -208,12 +181,11 @@ class Session:
         :meth:`~repro.core.framework.TimingVerificationFramework.verify`
         (``min_interarrival_ms``, ``measure_suprema``, ...).
         """
-        with self._applied():
-            return self.framework.verify(
-                pim, scheme,
-                input_channel=input_channel,
-                output_channel=output_channel,
-                deadline_ms=deadline_ms, **kwargs)
+        return self.framework.verify(
+            pim, scheme,
+            input_channel=input_channel,
+            output_channel=output_channel,
+            deadline_ms=deadline_ms, **kwargs)
 
     def portfolio(self, pim, schemes, *, input_channel: str,
                   output_channel: str, deadline_ms: int,
@@ -224,25 +196,25 @@ class Session:
         keyword arguments pass through to
         :meth:`~repro.core.framework.TimingVerificationFramework.verify_portfolio`.
         """
-        with self._applied():
-            return self.framework.verify_portfolio(
-                pim, schemes,
-                input_channel=input_channel,
-                output_channel=output_channel,
-                deadline_ms=deadline_ms,
-                executor=executor if executor is not None
-                else self.executor,
-                **kwargs)
+        return self.framework.verify_portfolio(
+            pim, schemes,
+            input_channel=input_channel,
+            output_channel=output_channel,
+            deadline_ms=deadline_ms,
+            executor=executor if executor is not None
+            else self.executor,
+            **kwargs)
 
     # -- monitoring ----------------------------------------------------
-    def monitor_model(self, *, pim=None, scheme=None, psm=None,
-                      mon_ceiling_us: int | None = None
-                      ) -> "MonitorModel":
+    def monitor_model(self, *, pim=None, scheme=None,
+                      psm=None) -> "MonitorModel":
         """A precompiled :class:`~repro.monitor.MonitorModel`.
 
         Models are cached on the session keyed by the canonical PSM
         digest, so repeated :meth:`monitor` calls against the same
-        scheme skip the zone-graph precompilation.
+        scheme skip the zone-graph precompilation.  They use the
+        default observation-clock ceiling; a caller needing another
+        one builds :class:`~repro.monitor.MonitorModel` directly.
         """
         from repro.monitor import MonitorModel
         from repro.ta.rename import canonical_network
@@ -257,15 +229,11 @@ class Session:
         digest = canonical_network(psm.network).digest
         model = self._monitor_models.get(digest)
         if model is None:
-            kwargs = {}
-            if mon_ceiling_us is not None:
-                kwargs["mon_ceiling_us"] = mon_ceiling_us
-            with self._applied():
-                model = MonitorModel(
-                    psm,
-                    abstraction=self.abstraction.name,
-                    max_states=self.monitor_max_states, **kwargs)
-                model.precompile()
+            model = MonitorModel(
+                psm, zone_backend=self.backend,
+                abstraction=self.abstraction.name,
+                max_states=self.monitor_max_states)
+            model.precompile()
             self._monitor_models[digest] = model
         return model
 
@@ -307,57 +275,3 @@ class Session:
         client.connect()
         return client
 
-
-# ----------------------------------------------------------------------
-# Legacy per-call knob threading (deprecated).
-# ----------------------------------------------------------------------
-
-def _legacy_session(**knobs) -> Session:
-    warnings.warn(
-        "per-call knob threading through repro.api module functions "
-        "is deprecated; build a repro.api.Session once and call its "
-        "methods instead",
-        DeprecationWarning, stacklevel=3)
-    return Session(**knobs)
-
-
-def verify(pim, scheme, *, input_channel: str, output_channel: str,
-           deadline_ms: int, backend: str | None = None,
-           abstraction: str | None = None, jobs: int | None = None,
-           max_states: int = 1_000_000,
-           **kwargs) -> VerificationReport:
-    """Deprecated one-shot wrapper — use :meth:`Session.verify`."""
-    session = _legacy_session(backend=backend, abstraction=abstraction,
-                              jobs=jobs, max_states=max_states)
-    return session.verify(pim, scheme, input_channel=input_channel,
-                          output_channel=output_channel,
-                          deadline_ms=deadline_ms, **kwargs)
-
-
-def portfolio(pim, schemes, *, input_channel: str,
-              output_channel: str, deadline_ms: int,
-              backend: str | None = None,
-              abstraction: str | None = None,
-              jobs: int | None = None, executor: str | None = None,
-              max_states: int = 1_000_000, **kwargs):
-    """Deprecated one-shot wrapper — use :meth:`Session.portfolio`."""
-    session = _legacy_session(backend=backend, abstraction=abstraction,
-                              jobs=jobs, executor=executor,
-                              max_states=max_states)
-    return session.portfolio(pim, schemes,
-                             input_channel=input_channel,
-                             output_channel=output_channel,
-                             deadline_ms=deadline_ms, **kwargs)
-
-
-def monitor(traces, *, pim=None, scheme=None, psm=None,
-            requirement: tuple[str, str, int] | None = None,
-            backend: str | None = None,
-            abstraction: str | None = None,
-            max_states: int = 200_000, batch: bool = True) -> list[dict]:
-    """Deprecated one-shot wrapper — use :meth:`Session.monitor`."""
-    session = _legacy_session(backend=backend,
-                              abstraction=abstraction,
-                              monitor_max_states=max_states)
-    return session.monitor(traces, pim=pim, scheme=scheme, psm=psm,
-                           requirement=requirement, batch=batch)

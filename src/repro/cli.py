@@ -18,11 +18,12 @@ Commands mirror the paper's workflow:
   models); ``verify``/``portfolio``/``monitor`` forward to it with
   ``--server ADDR``
 
-Every subcommand builds one :class:`repro.api.Session` from the
-global knob flags (``--zone-backend``/``--jobs``/``--abstraction``
-plus per-command ``--executor``/``--faults``), so the resolution
-order *explicit flag > REPRO_* environment > default* is decided in
-exactly one place.
+:func:`main` resolves the engine knobs once, from the global flags
+(``--zone-backend``/``--jobs``/``--abstraction`` plus the per-command
+``--executor``) in the order *explicit flag > REPRO_* environment >
+default* (:meth:`repro.mc.parallel.EngineConfig.resolve`), before any
+subcommand runs; every subcommand — ``table1``, ``simulate`` and
+``serve`` included — takes that one config.
 
 Exit codes (``verify``/``portfolio``/``monitor``): **0** every scheme
 earned the implementation guarantee (resp. every trace conforms);
@@ -50,11 +51,9 @@ from repro.apps.schemes import case_study_scheme, scheme_grid
 from repro.core.scheme import InvocationKind, ReadPolicy
 from repro.core.transform import transform
 from repro.envvars import EnvVarError
-from repro.mc.parallel import set_default_jobs
-from repro.ta.bounds import set_abstraction
+from repro.mc.parallel import EngineConfig
 from repro.ta.render import network_summary, network_to_dot
 from repro.ta.uppaal import network_to_uppaal_xml
-from repro.zones.backend import set_backend
 
 __all__ = ["main"]
 
@@ -96,17 +95,14 @@ def _parse_faults(spec: str) -> dict[str, list[int]]:
 
 
 def _session(args: argparse.Namespace, **extra) -> Session:
-    """One resolved :class:`~repro.api.Session` per command run.
-
-    Centralizes the knob-resolution order (explicit flag > ``REPRO_*``
-    environment > default — the Session constructor's contract) that
-    each subcommand used to re-thread by hand.
-    """
+    """The :class:`~repro.api.Session` of one command run, built from
+    the config :func:`main` resolved."""
+    engine = args.engine
     return Session(
-        backend=args.zone_backend,
-        abstraction=args.abstraction,
-        jobs=args.jobs,
-        executor=getattr(args, "executor", None),
+        backend=engine.backend,
+        abstraction=engine.abstraction,
+        jobs=engine.jobs,
+        executor=engine.executor,
         faults=getattr(args, "faults", None) or {},
         max_states=getattr(args, "max_states", 1_000_000),
         **extra)
@@ -321,11 +317,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         print("pass either --port or --unix, not both",
               file=sys.stderr)
         return EXIT_ERROR
+    engine = args.engine
     scheduler = JobScheduler(
-        jobs=args.jobs,
-        executor=args.executor,
+        jobs=engine.jobs,
+        executor=engine.executor,
         max_states=args.max_states,
-        abstraction=args.abstraction,
+        backend=engine.backend,
+        abstraction=engine.abstraction,
         cache_entries=args.cache_entries,
         dispatch_threads=args.dispatch_threads,
         warm_start_max_zones=args.warm_start_max_zones,
@@ -361,7 +359,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
 def _cmd_table1(args: argparse.Namespace) -> int:
     table = run_case_study(trials=args.trials, seed=args.seed,
-                           max_states=args.max_states)
+                           framework=_session(args).framework)
     print(table.render())
     return 0 if table.shape_holds else 1
 
@@ -719,33 +717,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _check_environment() -> None:
-    """Fail fast on malformed ``REPRO_*`` variables.
-
-    Every resolver validates lazily at first use; running them here
-    turns a mid-pipeline stack trace into a one-line startup error.
-    """
-    from repro.mc.parallel import resolve_jobs
-    from repro.mc.portfolio import resolve_executor
-    from repro.ta.bounds import resolve_abstraction
-    from repro.zones.backend import requested_backend
-
-    resolve_jobs(None)
-    resolve_executor(None)
-    resolve_abstraction(None)
-    requested_backend(None)
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _check_environment()
-        if args.zone_backend is not None:
-            set_backend(args.zone_backend)
-        if args.jobs is not None:
-            set_default_jobs(args.jobs)
-        if args.abstraction is not None:
-            set_abstraction(args.abstraction)
+        # Resolved before any subcommand runs, so a malformed REPRO_*
+        # variable fails fast with a one-line message.
+        args.engine = EngineConfig.resolve(
+            backend=args.zone_backend,
+            abstraction=args.abstraction,
+            jobs=args.jobs,
+            executor=getattr(args, "executor", None))
         return args.fn(args)
     except EnvVarError as exc:
         print(str(exc), file=sys.stderr)

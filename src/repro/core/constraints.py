@@ -139,9 +139,11 @@ def check_constraint4(psm: PSM, *,
 
 
 def check_progress(psm: PSM, *,
-                   max_states: int = 1_000_000) -> ConstraintResult:
+                   max_states: int = 1_000_000,
+                   zone_backend: str | None = None) -> ConstraintResult:
     """Sanity: the PSM composition never gets stuck."""
-    report = find_deadlocks(psm.network, max_states=max_states)
+    report = find_deadlocks(psm.network, max_states=max_states,
+                            zone_backend=zone_backend)
     if report.deadlock_free:
         return ConstraintResult(
             constraint="Progress (no deadlock/timelock)", holds=True,
@@ -177,6 +179,7 @@ def check_all_constraints(psm: PSM, *,
                           single_pass: bool = True,
                           max_states: int = 1_000_000,
                           jobs: int | None = None,
+                          zone_backend: str | None = None,
                           abstraction: str | None = None,
                           ) -> ConstraintReport:
     """Run Constraints 1–4 (plus the optional progress sanity check).
@@ -188,7 +191,8 @@ def check_all_constraints(psm: PSM, *,
     """
     report = ConstraintReport()
     if include_progress:
-        report.results.append(check_progress(psm, max_states=max_states))
+        report.results.append(check_progress(
+            psm, max_states=max_states, zone_backend=zone_backend))
     if not single_pass:
         report.results.append(check_constraint1(
             psm, min_interarrival_ms=min_interarrival_ms,
@@ -202,7 +206,8 @@ def check_all_constraints(psm: PSM, *,
         return report
     report.results.extend(_single_pass_constraints(
         psm, min_interarrival_ms=min_interarrival_ms,
-        max_states=max_states, jobs=jobs, abstraction=abstraction))
+        max_states=max_states, jobs=jobs, zone_backend=zone_backend,
+        abstraction=abstraction))
     return report
 
 
@@ -210,6 +215,7 @@ def _single_pass_constraints(psm: PSM, *,
                              min_interarrival_ms: int | None,
                              max_states: int,
                              jobs: int | None = None,
+                             zone_backend: str | None = None,
                              abstraction: str | None = None,
                              ) -> list[ConstraintResult]:
     """One exploration deciding Constraints 1–4 together."""
@@ -227,6 +233,7 @@ def _single_pass_constraints(psm: PSM, *,
     }
     explorer = make_explorer(psm.network, jobs=jobs,
                              max_states=max_states,
+                             zone_backend=zone_backend,
                              abstraction=abstraction)
     compiled = explorer.compiled
     positions = {

@@ -131,10 +131,12 @@ def relaxed_deadline(input_bound: int, output_bound: int,
 def internal_delay(pim: PIM, input_channel: str, output_channel: str,
                    *, max_states: int = 1_000_000,
                    jobs: int | None = None,
+                   zone_backend: str | None = None,
                    abstraction: str | None = None) -> DelayBound:
     """``Δ_io-internal``: the PIM's own m→c supremum."""
     return max_response_delay(pim.network, input_channel, output_channel,
                               max_states=max_states, jobs=jobs,
+                              zone_backend=zone_backend,
                               abstraction=abstraction)
 
 

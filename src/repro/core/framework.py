@@ -122,17 +122,22 @@ class TimingVerificationFramework:
 
     ``jobs`` selects the sharded parallel explorer for every model-
     checking step (``None`` keeps the sequential engine; results are
-    identical either way).  ``abstraction`` selects the extrapolation
-    operator for every step (``"extra_m"`` — the default, or
-    ``"extra_lu"`` — same verdicts/bounds/sups, smaller zone graphs;
-    ``None`` defers to ``set_abstraction``/``REPRO_ABSTRACTION``).
+    identical either way).  ``backend`` selects the zone backend for
+    every step (``None`` means ``auto``; results are bit-identical on
+    every backend).  ``abstraction`` selects the extrapolation
+    operator for every step (``"extra_m"`` — the default, also for
+    ``None`` — or ``"extra_lu"`` — same verdicts/bounds/sups, smaller
+    zone graphs).  A :class:`~repro.api.Session` resolves all three
+    from its arguments and the environment and passes them here.
     """
 
     def __init__(self, *, max_states: int = 1_000_000,
                  jobs: int | None = None,
+                 backend: str | None = None,
                  abstraction: str | None = None):
         self.max_states = max_states
         self.jobs = jobs
+        self.backend = backend
         self.abstraction = abstraction
 
     # ------------------------------------------------------------------
@@ -143,7 +148,7 @@ class TimingVerificationFramework:
         return check_bounded_response(
             pim.network, input_channel, output_channel, deadline_ms,
             max_states=self.max_states, jobs=self.jobs,
-            abstraction=self.abstraction)
+            zone_backend=self.backend, abstraction=self.abstraction)
 
     def transform(self, pim: PIM,
                   scheme: ImplementationScheme) -> PSM:
@@ -159,7 +164,7 @@ class TimingVerificationFramework:
             psm, min_interarrival_ms=min_interarrival_ms,
             include_progress=include_progress,
             max_states=self.max_states, jobs=self.jobs,
-            abstraction=self.abstraction)
+            zone_backend=self.backend, abstraction=self.abstraction)
 
     def derive_bounds(self, pim: PIM, scheme: ImplementationScheme,
                       input_channel: str,
@@ -168,6 +173,7 @@ class TimingVerificationFramework:
         internal = internal_delay(pim, input_channel, output_channel,
                                   max_states=self.max_states,
                                   jobs=self.jobs,
+                                  zone_backend=self.backend,
                                   abstraction=self.abstraction)
         return bounds_from_internal(scheme, input_channel,
                                     output_channel, internal)
@@ -179,7 +185,7 @@ class TimingVerificationFramework:
         return check_bounded_response(
             psm.network, input_channel, output_channel, deadline_ms,
             max_states=self.max_states, jobs=self.jobs,
-            abstraction=self.abstraction)
+            zone_backend=self.backend, abstraction=self.abstraction)
 
     def verify_psm_deadlines(self, psm: PSM, input_channel: str,
                              output_channel: str,
@@ -194,7 +200,7 @@ class TimingVerificationFramework:
                                   deadline)
              for deadline in deadlines_ms],
             max_states=self.max_states, jobs=self.jobs,
-            abstraction=self.abstraction)
+            zone_backend=self.backend, abstraction=self.abstraction)
         return list(outcome.results)
 
     def measure_psm(self, psm: PSM, input_channel: str,
@@ -215,7 +221,7 @@ class TimingVerificationFramework:
                               output_channel),
              ResponseSupQuery(input_channel, output_channel)],
             trace=False, max_states=self.max_states, jobs=self.jobs,
-            abstraction=self.abstraction)
+            zone_backend=self.backend, abstraction=self.abstraction)
         input_sup, output_sup, mc_sup = outcome.results
         return {
             "Input-Delay": input_sup,
@@ -279,7 +285,7 @@ class TimingVerificationFramework:
         ``executor="process"`` partitions the jobs across
         ``self.jobs`` worker *processes* instead of threads — true
         multi-core for the pure-Python reference backend (``None``
-        defers to ``REPRO_EXECUTOR``, default thread).
+        means thread).
         ``reuse=True`` answers schemes whose compiled PSM is
         canonically identical (up to semantically-inert buffer
         capacities) from a verdict memo instead of re-exploring —
@@ -304,7 +310,8 @@ class TimingVerificationFramework:
         verifier = PortfolioVerifier(
             jobs=self.jobs, executor=executor, concurrency=concurrency,
             max_states=self.max_states, fused=fused,
-            abstraction=self.abstraction, reuse=reuse,
+            backend=self.backend, abstraction=self.abstraction,
+            reuse=reuse,
             prune_dominated=prune_dominated, warm_start=warm_start)
         return verifier.verify_schemes(
             pim, schemes, input_channel=input_channel,

@@ -15,11 +15,9 @@ the CLI (or the daemon boot) immediately with::
 
     REPRO_JOBS='two' is invalid: expected an integer >= 1
 
-All resolution entry points (:func:`repro.zones.backend.resolve_backend`,
-:func:`repro.ta.bounds.resolve_abstraction`,
-:func:`repro.mc.parallel.resolve_jobs`,
-:func:`repro.mc.portfolio.resolve_executor`) route their environment
-reads through here.
+Their one caller is :meth:`repro.mc.parallel.EngineConfig.resolve`,
+which runs when a :class:`~repro.api.Session`, the CLI or the daemon
+is constructed; no other code reads the environment.
 """
 
 from __future__ import annotations

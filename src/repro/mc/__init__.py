@@ -33,7 +33,6 @@ from repro.mc.observers import (
 from repro.mc.parallel import (
     ShardedZoneGraphExplorer,
     resolve_jobs,
-    set_default_jobs,
 )
 from repro.mc.queries import (
     BatchOutcome,
@@ -88,7 +87,6 @@ __all__ = [
     "find_deadlocks",
     "format_trace",
     "resolve_jobs",
-    "set_default_jobs",
     "instrument_response",
     "max_response_delay",
     "sup_clock",

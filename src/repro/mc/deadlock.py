@@ -40,6 +40,7 @@ class DeadlockReport:
 def find_deadlocks(network: Network, *,
                    max_states: int = 1_000_000,
                    limit: int = 10,
+                   zone_backend: str | None = None,
                    abstraction: str | None = None) -> DeadlockReport:
     """Search the full zone graph for stuck (dead/time-locked) states.
 
@@ -50,8 +51,7 @@ def find_deadlocks(network: Network, *,
     verdicts, not boundedness of individual zones, so running this
     query under LU would misclassify genuinely time-locked states as
     live (time could "diverge" through a widened bound that the real
-    zone caps).  A process-wide ``set_abstraction("extra_lu")`` does
-    not leak in either — the explorer is pinned to Extra_M.
+    zone caps).
 
     ``abstraction`` exists so grid/portfolio plumbing can pass its
     engine setting through uniformly; only ``None`` and ``"extra_m"``
@@ -65,6 +65,7 @@ def find_deadlocks(network: Network, *,
             f"make stuck states look live. Drop the argument (extra_m "
             f"is always used) or pass abstraction='extra_m'.")
     explorer = ZoneGraphExplorer(network, max_states=max_states,
+                                 zone_backend=zone_backend,
                                  abstraction="extra_m")
     compiled = explorer.compiled
     stuck: list[str] = []

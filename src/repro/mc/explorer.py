@@ -38,10 +38,9 @@ Performance architecture (see ``docs/PERFORMANCE.md``):
   default stays eager — ``zone_graph_stats`` and the paper experiments
   report bit-identical numbers to the seed implementation.
 
-The zone backend (pure-Python reference or vectorized numpy) is chosen
-per explorer via ``zone_backend=``, the ``REPRO_ZONE_BACKEND``
-environment variable or :func:`repro.zones.backend.set_backend`; both
-backends yield bit-identical zone graphs.
+The zone backend (pure-Python reference, vectorized numpy or native)
+is chosen per explorer via ``zone_backend=`` (``None`` means ``auto``);
+every backend yields bit-identical zone graphs.
 """
 
 from __future__ import annotations
@@ -178,8 +177,8 @@ class ZoneGraphExplorer:
     max_states:
         Hard cap on stored symbolic states.
     zone_backend:
-        Zone-kernel choice (``auto``/``reference``/``numpy``); ``None``
-        defers to :func:`repro.zones.backend.resolve_backend`.
+        Zone-kernel choice (``auto``/``reference``/``numpy``/
+        ``native``); ``None`` means ``auto``.
     lazy_subsumption:
         Skip waiting-list entries whose zone was evicted by a larger
         one before they were expanded.  The reduced zone graph is
@@ -190,8 +189,7 @@ class ZoneGraphExplorer:
         per-clock maximum constants, the seed behavior every pin is
         tied to) or ``"extra_lu"`` (per-location Extra⁺_LU bounds —
         same verdicts, bounds and suprema, smaller zone graphs).
-        ``None`` defers to :func:`repro.ta.bounds.resolve_abstraction`
-        (``set_abstraction`` override, then ``REPRO_ABSTRACTION``).
+        ``None`` means ``extra_m``.
     """
 
     def __init__(self, network: Network, *,

@@ -49,7 +49,6 @@ snapshots it has never seen.
 
 from __future__ import annotations
 
-import os
 import threading
 from collections import deque
 from contextlib import contextmanager
@@ -79,40 +78,22 @@ __all__ = [
     "exploration_context",
     "make_explorer",
     "resolve_jobs",
-    "set_default_jobs",
 ]
 
 #: Environment override for the default worker count (like
-#: ``REPRO_ZONE_BACKEND`` for the kernel choice).
+#: ``REPRO_ZONE_BACKEND`` for the kernel choice), read by
+#: :meth:`EngineConfig.resolve`.
 ENV_JOBS = "REPRO_JOBS"
-
-_default_jobs: int | None = None
-
-
-def set_default_jobs(jobs: int | None) -> None:
-    """Process-wide default for ``jobs`` (the CLI ``--jobs`` flag)."""
-    global _default_jobs
-    if jobs is not None and jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
-    _default_jobs = jobs
 
 
 def resolve_jobs(jobs: int | None = None) -> int | None:
-    """Resolve a ``jobs`` spec: explicit > ``set_default_jobs`` > env.
+    """Validate a ``jobs`` spec.
 
     ``None`` means "sequential engine"; any integer >= 1 selects the
     sharded explorer (``jobs=1`` runs its wave pipeline inline — on
     the numpy backend that alone buys the batched-kernel speedup).
     """
-    if jobs is None:
-        if _default_jobs is not None:
-            jobs = _default_jobs
-        else:
-            from repro.envvars import env_int
-            jobs = env_int(ENV_JOBS, minimum=1)
-    if jobs is None:
-        return None
-    if jobs < 1:
+    if jobs is not None and jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     return jobs
 
@@ -289,71 +270,75 @@ def exploration_context(*, pool: WorkStealingPool | None = None,
 
 
 # ----------------------------------------------------------------------
-# Worker-replay plumbing (shared by the sharded explorer's
-# multiprocessing fallback and the portfolio's process executor)
+# Engine configuration (the one place REPRO_* is read)
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class EngineConfig:
-    """Picklable snapshot of the process-global engine knobs.
+    """The resolved engine knobs, passed explicitly to every layer.
 
-    A fresh worker process must see the *same* zone backend,
-    extrapolation operator and worker-count default the coordinator
-    resolved — regardless of start method (``fork`` inherits globals,
-    ``spawn`` does not) and regardless of environment overrides that
-    may differ by the time the worker imports the library.
-    :meth:`capture` resolves the coordinator's view down to concrete
-    names (keeping an ``auto`` backend request symbolic — see the
-    field note); :meth:`apply` replays them in the worker and scrubs
-    the
-    corresponding environment variables so nothing re-resolves
-    differently underneath.
+    :meth:`resolve` is the only code that reads the ``REPRO_*``
+    environment variables.  It runs once, when a
+    :class:`~repro.api.Session`, the CLI or the daemon's
+    :class:`~repro.service.scheduler.JobScheduler` is constructed;
+    from there the values travel as plain arguments (the framework's
+    and the portfolio verifier's ``backend=``/``abstraction=``/
+    ``jobs=``).  Below that level ``None`` means the default, never a
+    process-wide setting.  The snapshot is picklable, so process
+    workers receive it with each job.
     """
 
     #: Concrete backend name (``"reference"``/``"numpy"``/``"native"``)
-    #: — or the literal ``"auto"`` when that is what the coordinator
-    #: was asked for: workers then re-resolve per model, which is safe
-    #: because every backend is bit-identical, and necessary so a
-    #: portfolio mixing tiny and large models never pins all workers
-    #: to one frozen choice.
-    backend: str
+    #: — or the literal ``"auto"``: explorers (and worker processes)
+    #: then re-resolve per model, which is safe because every backend
+    #: is bit-identical, and necessary so a portfolio mixing tiny and
+    #: large models never pins all of them to one frozen choice.
+    backend: str = "auto"
     #: Concrete abstraction name (``"extra_m"``/``"extra_lu"``).
-    abstraction: str
-    #: Worker-count default to install (``None`` = sequential engine).
+    abstraction: str = "extra_m"
+    #: Worker count (``None`` = sequential engine).
     jobs: int | None = None
+    #: Portfolio job executor (``"thread"``/``"process"``).
+    executor: str = "thread"
 
     @classmethod
-    def capture(cls, *, backend: str | None = None,
+    def resolve(cls, *, backend: str | None = None,
                 abstraction: str | None = None,
-                jobs: int | None = None) -> "EngineConfig":
-        """Resolve the coordinator's effective configuration.
+                jobs: int | None = None,
+                executor: str | None = None) -> "EngineConfig":
+        """Resolve each knob: explicit argument > ``REPRO_*``
+        environment variable > default.
 
-        ``backend``/``abstraction`` follow the library-wide resolution
-        order (explicit > ``set_*`` override > environment > default);
-        ``jobs`` is stored verbatim — the caller decides what engine
-        its workers run internally.
+        A malformed variable raises
+        :class:`~repro.envvars.EnvVarError` here, at construction
+        time, instead of deep inside an exploration.
         """
-        from repro.ta.bounds import resolve_abstraction
-        from repro.zones.backend import requested_backend
+        from repro.envvars import env_choice, env_int
+        from repro.mc.portfolio import (
+            _EXECUTORS,
+            ENV_EXECUTOR,
+            resolve_executor,
+        )
+        from repro.ta import bounds
+        from repro.zones import backend as zone_backend
 
-        spec = requested_backend(backend)
-        if spec != "auto":
-            # Availability check now, not in the worker.
-            spec = resolve_backend(spec).name
-        return cls(backend=spec,
-                   abstraction=resolve_abstraction(abstraction).name,
-                   jobs=jobs)
-
-    def apply(self) -> None:
-        """Replay this configuration in the current (worker) process."""
-        from repro.ta.bounds import ENV_ABSTRACTION, set_abstraction
-        from repro.zones.backend import ENV_VAR as ENV_BACKEND
-        from repro.zones.backend import set_backend
-
-        set_backend(self.backend)
-        set_abstraction(self.abstraction)
-        set_default_jobs(self.jobs)
-        for var in (ENV_BACKEND, ENV_ABSTRACTION, ENV_JOBS):
-            os.environ.pop(var, None)
+        if backend is None:
+            backend = env_choice(
+                zone_backend.ENV_VAR,
+                ("auto", *zone_backend._ALIASES), default="auto")
+        if abstraction is None:
+            abstraction = env_choice(bounds.ENV_ABSTRACTION,
+                                     bounds._ALIASES,
+                                     default=bounds.EXTRA_M)
+        if jobs is None:
+            jobs = env_int(ENV_JOBS, minimum=1)
+        if executor is None:
+            executor = env_choice(ENV_EXECUTOR, _EXECUTORS,
+                                  default="thread")
+        return cls(
+            backend=zone_backend.requested_backend(backend),
+            abstraction=bounds.resolve_abstraction(abstraction).name,
+            jobs=resolve_jobs(jobs),
+            executor=resolve_executor(executor))
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,8 @@ concurrently:
   runs scheme pipelines on coordinator threads over one shared
   worker pool (below) — right for the numpy backend, whose batched
   kernels release the GIL.  ``executor="process"`` (CLI
-  ``--executor``, env ``REPRO_EXECUTOR``) partitions whole jobs
+  ``--executor``, a :class:`~repro.api.Session`'s ``executor=``, env
+  ``REPRO_EXECUTOR``) partitions whole jobs
   across ``jobs`` worker *processes* via picklable job specs — true
   multi-core for the GIL-bound pure-Python reference backend.  Same
   rows either way.
@@ -73,7 +74,6 @@ rest on the documented monotonicity assumption (see
 from __future__ import annotations
 
 import dataclasses
-import os
 import threading
 import time
 from collections.abc import Mapping
@@ -88,6 +88,8 @@ from repro.mc.parallel import (
     exploration_context,
     resolve_jobs,
 )
+from repro.ta.bounds import resolve_abstraction
+from repro.zones.backend import requested_backend
 from repro.zones.intern import ZoneInternTable
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids core cycle
@@ -109,14 +111,15 @@ __all__ = [
 ]
 
 #: Environment override for the job-level executor (like ``REPRO_JOBS``
-#: for the worker count): ``thread`` or ``process``.
+#: for the worker count): ``thread`` or ``process``; read by
+#: :meth:`~repro.mc.parallel.EngineConfig.resolve`.
 ENV_EXECUTOR = "REPRO_EXECUTOR"
 
 _EXECUTORS = ("thread", "process")
 
 
 def resolve_executor(executor: str | None = None) -> str:
-    """Resolve an executor spec: explicit > ``REPRO_EXECUTOR`` > thread.
+    """Validate an executor spec (``None`` means ``thread``).
 
     ``thread`` schedules scheme pipelines on coordinator threads over
     one shared :class:`WorkStealingPool` (zone-level parallelism);
@@ -124,9 +127,7 @@ def resolve_executor(executor: str | None = None) -> str:
     multi-core for the GIL-bound pure-Python reference backend.
     """
     if executor is None:
-        from repro.envvars import env_choice
-        executor = env_choice(ENV_EXECUTOR, _EXECUTORS,
-                              default="thread")
+        executor = "thread"
     if executor not in _EXECUTORS:
         raise ValueError(
             f"unknown portfolio executor {executor!r} (choose from: "
@@ -396,14 +397,12 @@ class PortfolioVerifier:
     """Verify a portfolio of implementation schemes concurrently.
 
     jobs:
-        Worker-pool width shared by every sweep (resolved like every
-        other ``jobs=`` in the library: explicit > ``set_default_jobs``
-        > ``REPRO_JOBS``; ``None`` keeps the sequential engine and runs
-        the jobs one after another).  Under ``executor="process"`` the
-        same number is the worker-*process* count instead.
+        Worker-pool width shared by every sweep (``None`` keeps the
+        sequential engine and runs the jobs one after another).  Under
+        ``executor="process"`` the same number is the worker-*process*
+        count instead.
     executor:
-        Job-level execution mode (``None`` defers to
-        ``REPRO_EXECUTOR``, default ``thread``):
+        Job-level execution mode (``None`` means ``thread``):
 
         ``"thread"``
             Scheme pipelines run on coordinator threads over one
@@ -414,8 +413,8 @@ class PortfolioVerifier:
             The job list is partitioned across ``jobs`` worker
             processes; each worker receives a picklable job spec
             (PIM + scheme parameters + requirement descriptors, never
-            live compiled networks), replays the coordinator's
-            backend/abstraction configuration
+            live compiled networks) plus the coordinator's
+            backend/abstraction
             (:class:`~repro.mc.parallel.EngineConfig`), compiles its
             own networks and runs the plain *sequential* per-scheme
             pipeline — true multi-core for the GIL-bound pure-Python
@@ -424,7 +423,7 @@ class PortfolioVerifier:
             budget blow-up yields an error row, never a dead sweep.
             Scheme-independent PIM obligations are computed once in
             the parent and shipped to the workers, so the dedup win
-            survives.  ``intern``/``scoped_intern`` are no-ops here
+            survives.  ``intern`` is a no-op here
             (each worker's sequential engine never interns, and
             intern tables cannot span processes).
     concurrency:
@@ -441,29 +440,26 @@ class PortfolioVerifier:
         and sups; shared-sweep tallies).  Off by default so every row
         is bit-identical to the per-scheme sequential ``verify``.
     intern:
-        Zone-interning policy shared by all jobs: ``True`` (a table
-        scoped to each :meth:`run` call — see ``scoped_intern``),
-        ``False``, or a private
-        :class:`~repro.zones.intern.ZoneInternTable`.  Interning is a
+        Zone-interning policy shared by all jobs: ``True`` (a fresh
+        table scoped to each :meth:`run` call, so a long-lived CLI or
+        service process sweeping many grids does not accumulate zones
+        from prior portfolios), ``False``, or an explicit
+        :class:`~repro.zones.intern.ZoneInternTable` used as-is (pass
+        :func:`~repro.zones.intern.global_intern_table` for cross-run
+        dedup).  Interning is a
         property of the sharded engine, so with ``jobs=None`` (the
         sequential explorer, which never interns) this setting has no
         effect — exactly as everywhere else in the library.
-    scoped_intern:
-        With ``intern=True`` (the default), give every :meth:`run`
-        call its own fresh intern table instead of the process-global
-        one.  Cross-job dedup inside the run is unchanged, but a
-        long-lived CLI/service process sweeping many grids no longer
-        accumulates zones from prior portfolios.  Set to ``False`` to
-        restore the global table (cross-run dedup at the cost of
-        unbounded-until-reset growth); an explicit ``intern`` table is
-        always respected as-is.
     share_pim_obligations:
         Compute each distinct (PIM, requirement) obligation — step 1
         and the internal supremum — once instead of once per scheme.
+    backend:
+        Zone-backend spec for every sweep of every job (``"auto"`` —
+        also for ``None`` — or ``"reference"``/``"numpy"``/
+        ``"native"``).  Rows are bit-identical on every backend.
     abstraction:
         Extrapolation operator for every sweep of every job
-        (``"extra_m"``/``"extra_lu"``; ``None`` defers to
-        ``set_abstraction``/``REPRO_ABSTRACTION``).  Rows are
+        (``"extra_m"`` — also for ``None`` — or ``"extra_lu"``).  Rows are
         verdict-, bound- and sup-identical either way; ``extra_lu``
         shrinks the per-scheme zone graphs — the blow-up corners of a
         grid most of all.
@@ -493,22 +489,22 @@ class PortfolioVerifier:
         calls on this verifier, so a follow-up sweep of neighboring
         schemes starts with the previous grid's zones already
         interned (Tier-3 neighbor warm-start; only meaningful with
-        ``intern=True`` and ``scoped_intern=True``).
-    small_grid_fallback:
-        When the job list is at least as wide as the worker pool,
-        skip the shared zone-level pool entirely and run each job on
-        its own inline engine (``jobs=1``) with ``width`` concurrent
-        coordinators.  Job-level parallelism beats zone-level waves
-        whenever there are enough jobs to fill the pool — the wave
-        barriers and steal traffic of the shared pool were making
-        small-scheme grids *slower* at ``jobs=4`` than sequential.
-        For *tiny* models (structural size x deadline horizon under
-        a static threshold) the fallback goes one step further and
-        runs fully sequentially: whole-job threads only add GIL
-        contention at that scale.  An explicit ``concurrency``
-        overrides the sequential drop.  Rows are bit-identical in
-        every mode (the worker-count invariance the test matrix
-        pins); set to ``False`` to force the legacy shared pool.
+        ``intern=True``).
+
+    Small-grid fallback: when the job list is at least as wide as the
+    worker pool, :meth:`run` skips the shared zone-level pool entirely
+    and runs each job on its own inline engine (``jobs=1``) with
+    ``width`` concurrent coordinators.  Job-level parallelism beats
+    zone-level waves whenever there are enough jobs to fill the pool —
+    the wave barriers and steal traffic of the shared pool were making
+    small-scheme grids *slower* at ``jobs=4`` than sequential.  For
+    *tiny* models (structural size x deadline horizon under a static
+    threshold) the fallback goes one step further and runs fully
+    sequentially: whole-job threads only add GIL contention at that
+    scale.  An explicit ``concurrency`` overrides the sequential drop.
+    Rows are bit-identical in every mode (the worker-count invariance
+    the test matrix pins); a grid narrower than the pool runs on the
+    shared pool.
     """
 
     def __init__(self, *, jobs: int | None = None,
@@ -517,14 +513,13 @@ class PortfolioVerifier:
                  max_states: int = 1_000_000,
                  fused: bool = False,
                  intern: bool | ZoneInternTable = True,
-                 scoped_intern: bool = True,
                  share_pim_obligations: bool = True,
+                 backend: str | None = None,
                  abstraction: str | None = None,
                  reuse: bool = False,
                  prune_dominated: bool = False,
                  warm_start: bool = False,
                  warm_start_max_zones: int | None = None,
-                 small_grid_fallback: bool = True,
                  memo: VerdictMemo | None = None):
         if concurrency is not None and concurrency < 1:
             raise ValueError(
@@ -537,9 +532,9 @@ class PortfolioVerifier:
         self.max_states = max_states
         self.fused = fused
         self.intern = intern
-        self.scoped_intern = scoped_intern
         self.share_pim_obligations = share_pim_obligations
-        self.abstraction = abstraction
+        self.backend = requested_backend(backend)
+        self.abstraction = resolve_abstraction(abstraction).name
         self.reuse = reuse
         self.prune_dominated = prune_dominated
         self.warm_start = warm_start
@@ -553,7 +548,6 @@ class PortfolioVerifier:
         #: memory leak in a long-running daemon; with a cap the table
         #: generation-resets when full (``intern_resets`` counts).
         self.warm_start_max_zones = warm_start_max_zones
-        self.small_grid_fallback = small_grid_fallback
         self._pim_cache: dict[tuple, _SharedObligation] = {}
         self._pim_lock = threading.Lock()
         #: Cross-scheme verdict memo; persists across :meth:`run`
@@ -592,8 +586,7 @@ class PortfolioVerifier:
         # over inline engines beats zone-level waves — no shared pool,
         # no wave barriers, no steal traffic.  Rows are identical by
         # the worker-count-invariance contract.
-        fallback = (self.small_grid_fallback and width > 1
-                    and concurrency >= width
+        fallback = (width > 1 and concurrency >= width
                     and len(job_list) >= width)
         if fallback:
             pool = None
@@ -715,17 +708,14 @@ class PortfolioVerifier:
                              None, self._run_intern(),
                              obligation=obligation)
 
-    def _run_intern(self) -> "bool | ZoneInternTable | None":
+    def _run_intern(self) -> "bool | ZoneInternTable":
         """Interning scope for one run: a fresh table per run
         (default) keeps long-lived processes from accumulating zones
         across grids; ``warm_start`` pins one scoped table to this
         verifier so neighboring sweeps reuse each other's interned
-        zones (capped by ``warm_start_max_zones``); ``None`` defers
-        to the explorer default (the global table)."""
+        zones (capped by ``warm_start_max_zones``)."""
         if self.intern is not True:
             return self.intern
-        if not self.scoped_intern:
-            return None
         if self.warm_start:
             if self._warm_intern is None:
                 if self.warm_start_max_zones is not None:
@@ -824,7 +814,7 @@ class PortfolioVerifier:
     def _run_one(self, index: int, job: PortfolioJob,
                  engine_jobs: int | None,
                  pool: WorkStealingPool | None,
-                 intern: bool | ZoneInternTable | None,
+                 intern: bool | ZoneInternTable,
                  obligation: tuple | None = None,
                  ) -> PortfolioResult:
         from repro.core.framework import (
@@ -842,7 +832,8 @@ class PortfolioVerifier:
             deadline_ms=job.deadline_ms, report=report)
         framework = TimingVerificationFramework(
             max_states=job.max_states or self.max_states,
-            jobs=engine_jobs, abstraction=self.abstraction)
+            jobs=engine_jobs, backend=self.backend,
+            abstraction=self.abstraction)
         try:
             with exploration_context(pool=pool, intern=intern):
                 result.memo_hit, result.occupancy = self._verify_job(
@@ -984,6 +975,7 @@ class PortfolioVerifier:
                                       job.output_channel, deadline)
                  for deadline in deadlines],
                 max_states=framework.max_states, jobs=framework.jobs,
+                zone_backend=framework.backend,
                 abstraction=framework.abstraction, track_maxima=track)
             report.psm_original_result = outcome[0]
             report.psm_relaxed_result = outcome[1]
@@ -1027,8 +1019,8 @@ class PortfolioVerifier:
             ]
         outcome = check_many(
             psm.network, queries, max_states=framework.max_states,
-            jobs=framework.jobs, abstraction=framework.abstraction,
-            track_maxima=track)
+            jobs=framework.jobs, zone_backend=framework.backend,
+            abstraction=framework.abstraction, track_maxima=track)
         report.psm_original_result = outcome[0]
         report.psm_relaxed_result = outcome[1]
         if job.measure_suprema:
@@ -1049,9 +1041,6 @@ class PortfolioVerifier:
         count is deliberately absent — tallies are worker-count
         invariant (the pinned contract).
         """
-        engine = EngineConfig.capture(abstraction=self.abstraction,
-                                      jobs=None)
-
         def cid(name: str):
             try:
                 return model.channel_id(name)
@@ -1088,7 +1077,7 @@ class PortfolioVerifier:
             job.measure_suprema, job.include_progress,
             self.fused,
             job.max_states or self.max_states,
-            engine.backend, engine.abstraction,
+            self.backend, self.abstraction,
             tuple(sorted(vid(flag) for flag in psm.miss_flags())),
             tuple(sorted(vid(v.overflow)
                          for v in psm.input_vars.values())),
@@ -1174,7 +1163,8 @@ class PortfolioVerifier:
             else:
                 framework = TimingVerificationFramework(
                     max_states=job.max_states or self.max_states,
-                    jobs=engine_jobs, abstraction=self.abstraction)
+                    jobs=engine_jobs, backend=self.backend,
+                    abstraction=self.abstraction)
                 pim_result, internal = self._pim_obligations(
                     job, framework)
             report.pim_result = pim_result
@@ -1267,7 +1257,7 @@ class PortfolioVerifier:
                 values = [value for _, value in obligations]
                 for spec in specs:
                     commit(inline_verifier._run_one(
-                        spec.index, spec.job, None, None, None,
+                        spec.index, spec.job, None, None, False,
                         obligation=(values[spec.obligation]
                                     if spec.obligation is not None
                                     else None)))
@@ -1314,7 +1304,8 @@ class PortfolioVerifier:
         return PortfolioVerifier(
             jobs=None, executor="thread", max_states=self.max_states,
             fused=self.fused, intern=False,
-            share_pim_obligations=False, abstraction=self.abstraction,
+            share_pim_obligations=False, backend=self.backend,
+            abstraction=self.abstraction,
             reuse=self.reuse)
 
     def _run_process_pool(self, pending: list["_ProcessJobSpec"],
@@ -1337,17 +1328,17 @@ class PortfolioVerifier:
         except ValueError:  # pragma: no cover - non-POSIX
             ctx = multiprocessing.get_context()
         config = _ProcessConfig(
-            engine=EngineConfig.capture(abstraction=self.abstraction,
-                                        jobs=None),
+            engine=EngineConfig(backend=self.backend,
+                                abstraction=self.abstraction),
             max_states=self.max_states, fused=self.fused,
             obligations=tuple(value for _, value in obligations),
             reuse=reuse)
-        executor = ProcessPoolExecutor(
-            max_workers=width, mp_context=ctx,
-            initializer=_process_worker_init, initargs=(config,))
+        executor = ProcessPoolExecutor(max_workers=width,
+                                       mp_context=ctx)
 
         def run_round(specs: list[_ProcessJobSpec]) -> None:
-            futures = {executor.submit(_process_worker_run, spec): spec
+            futures = {executor.submit(_process_worker_run, config,
+                                       spec): spec
                        for spec in specs}
             for future in as_completed(futures):
                 spec = futures[future]
@@ -1499,7 +1490,7 @@ class PortfolioVerifier:
             if slot is None:
                 framework = TimingVerificationFramework(
                     max_states=max_states, jobs=None,
-                    abstraction=self.abstraction)
+                    backend=self.backend, abstraction=self.abstraction)
                 try:
                     value = ("ok", _compute_obligation(job, framework))
                 except ExplorationLimit as exc:
@@ -1612,6 +1603,7 @@ def _compute_obligation(job: PortfolioJob, framework) -> tuple:
     internal = internal_delay(
         job.pim, job.input_channel, job.output_channel,
         max_states=framework.max_states, jobs=framework.jobs,
+        zone_backend=framework.backend,
         abstraction=framework.abstraction)
     return pim_result, internal
 
@@ -1688,10 +1680,10 @@ def _dominance_signature(job: PortfolioJob, max_states: int,
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class _ProcessConfig:
-    """Everything a worker process needs, shipped once per worker.
+    """Everything a worker process needs, shipped with each job.
 
-    ``engine`` replays the coordinator's resolved backend/abstraction
-    (and pins the inner engine to sequential, ``jobs=None``);
+    ``engine`` carries the coordinator's resolved backend/abstraction
+    (the inner engine stays sequential, ``jobs=None``);
     ``obligations`` carries the parent-computed shared PIM obligation
     values the job specs index into.
     """
@@ -1718,25 +1710,15 @@ class _ProcessJobSpec:
     obligation: int | None = None
 
 
-_PROC_PORTFOLIO: _ProcessConfig | None = None
-
-
-def _process_worker_init(config: _ProcessConfig) -> None:
-    """Replay the coordinator's engine configuration in this worker."""
-    global _PROC_PORTFOLIO
-    os.environ.pop(ENV_EXECUTOR, None)  # workers never recurse
-    config.engine.apply()
-    _PROC_PORTFOLIO = config
-
-
-def _process_worker_run(spec: _ProcessJobSpec) -> PortfolioResult:
+def _process_worker_run(config: _ProcessConfig,
+                        spec: _ProcessJobSpec) -> PortfolioResult:
     """Run one job in this worker; always returns a structured row."""
-    config = _PROC_PORTFOLIO
     verifier = PortfolioVerifier(
         jobs=None, executor="thread", max_states=config.max_states,
         fused=config.fused, intern=False, share_pim_obligations=False,
-        reuse=config.reuse)
+        backend=config.engine.backend,
+        abstraction=config.engine.abstraction, reuse=config.reuse)
     obligation = (config.obligations[spec.obligation]
                   if spec.obligation is not None else None)
-    return verifier._run_one(spec.index, spec.job, None, None, None,
+    return verifier._run_one(spec.index, spec.job, None, None, False,
                              obligation=obligation)

@@ -186,9 +186,7 @@ class CompiledNetwork:
         clock's lower-bound residue (the blow-up driver).
 
         ``abstraction`` selects the extrapolation operator
-        (:func:`repro.ta.bounds.resolve_abstraction` order:
-        explicit > ``set_abstraction`` > ``REPRO_ABSTRACTION`` >
-        ``extra_m``).
+        (``None`` means ``extra_m``).
         """
         self.network = network
         self.abstraction = resolve_abstraction(abstraction)

@@ -16,6 +16,12 @@ the pieces every request shares:
   a freed model's id gets reused — so the scheduler keys by the
   canonical network digest instead (content-addressed, safe forever).
 
+The engine knobs (backend, abstraction, jobs, executor) resolve once,
+at construction, through
+:meth:`~repro.mc.parallel.EngineConfig.resolve`; every path below
+(per-job pipelines, shared obligations, monitor models, process
+workers) receives them explicitly, and the ``stats`` op reports them.
+
 Jobs dispatch onto a small thread pool; each finished row is pushed
 through the caller's ``emit`` callback (the server bridges that into
 the connection's asyncio queue) tagged with its origin —
@@ -28,8 +34,10 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict
 from typing import Callable
 
+from repro.mc.parallel import EngineConfig
 from repro.mc.portfolio import (
     PortfolioJob,
     PortfolioResult,
@@ -39,7 +47,6 @@ from repro.mc.portfolio import (
     _ProcessJobSpec,
     memo_entry_from_row,
     memoized_result,
-    resolve_executor,
 )
 from repro.service.cache import BoundedVerdictMemo
 from repro.service.workers import WarmWorkerPool, WorkerDied
@@ -74,6 +81,7 @@ class JobScheduler:
                  jobs: int | None = None,
                  executor: str | None = None,
                  max_states: int = 2_000_000,
+                 backend: str | None = None,
                  abstraction: str | None = None,
                  cache_entries: int = 1024,
                  dispatch_threads: int = 8,
@@ -82,19 +90,23 @@ class JobScheduler:
                  min_idle: int | None = None,
                  recycle_after_executions: int | None = None,
                  job_timeout: float | None = None):
-        self.executor = resolve_executor(executor)
+        self.engine = EngineConfig.resolve(
+            backend=backend, abstraction=abstraction, jobs=jobs,
+            executor=executor)
+        self.executor = self.engine.executor
         self.max_states = max_states
-        self.abstraction = abstraction
         self.memo = BoundedVerdictMemo(max_entries=cache_entries)
         self.verifier = PortfolioVerifier(
-            jobs=jobs, max_states=max_states, abstraction=abstraction,
+            jobs=self.engine.jobs, max_states=max_states,
+            backend=self.engine.backend,
+            abstraction=self.engine.abstraction,
             reuse=True, warm_start=True,
             warm_start_max_zones=warm_start_max_zones,
             memo=self.memo)
         self.workers: WarmWorkerPool | None = None
         if self.executor == "process":
             self.workers = WarmWorkerPool(
-                workers or jobs or 2, min_idle=min_idle,
+                workers or self.engine.jobs or 2, min_idle=min_idle,
                 recycle_after_executions=recycle_after_executions,
                 job_timeout=job_timeout)
         self._dispatch = ThreadPoolExecutor(
@@ -207,8 +219,9 @@ class JobScheduler:
         if value is not None:
             return value
         framework = TimingVerificationFramework(
-            max_states=max_states, jobs=None,
-            abstraction=self.abstraction)
+            max_states=max_states, jobs=self.engine.jobs,
+            backend=self.engine.backend,
+            abstraction=self.engine.abstraction)
         value = _compute_obligation(job, framework)
         with self._obligation_lock:
             # A concurrent duplicate computation is wasteful, never
@@ -229,7 +242,8 @@ class JobScheduler:
             model = self._monitor_models.get(digest)
         if model is not None:
             return model
-        model = MonitorModel(psm, abstraction=self.abstraction)
+        model = MonitorModel(psm, zone_backend=self.engine.backend,
+                             abstraction=self.engine.abstraction)
         model.precompile()
         with self._monitor_lock:
             return self._monitor_models.setdefault(digest, model)
@@ -310,7 +324,6 @@ class JobScheduler:
         from repro.core.delays import bounds_from_internal
         from repro.core.transform import transform
         from repro.mc.memo import psm_canonical_model
-        from repro.mc.parallel import EngineConfig
 
         obligation = self._obligation(job)
         psm = transform(job.pim, job.scheme)
@@ -335,8 +348,8 @@ class JobScheduler:
             claimed.event.wait()
             fallback = claimed.failed
         config = _ProcessConfig(
-            engine=EngineConfig.capture(abstraction=self.abstraction,
-                                        jobs=None),
+            engine=EngineConfig(backend=self.engine.backend,
+                                abstraction=self.engine.abstraction),
             max_states=self.max_states, fused=False,
             obligations=(obligation,), reuse=True)
         spec = _ProcessJobSpec(index=index, job=job, obligation=0)
@@ -381,6 +394,7 @@ class JobScheduler:
     def stats(self) -> dict:
         return {
             "executor": self.executor,
+            "engine": asdict(self.engine),
             "cache": self.memo.stats(),
             "warm_start": self.verifier.warm_start_stats(),
             "workers": self.workers.stats() if self.workers else None,

@@ -32,11 +32,7 @@ import os
 import threading
 from typing import Optional
 
-from repro.mc.portfolio import (
-    PortfolioResult,
-    _process_worker_init,
-    _process_worker_run,
-)
+from repro.mc.portfolio import PortfolioResult, _process_worker_run
 
 __all__ = ["WarmWorker", "WarmWorkerPool", "WorkerDied"]
 
@@ -53,9 +49,9 @@ class WorkerDied(RuntimeError):
 def _worker_main(conn) -> None:
     """Child-process loop: serve ``ping``/``run`` until EOF/``exit``.
 
-    Every job re-applies its shipped engine config before running, so
-    a single long-lived worker can serve requests with different
-    backend/abstraction settings back to back.
+    Every job carries its own engine config, so a single long-lived
+    worker can serve requests with different backend/abstraction
+    settings back to back.
     """
     while True:
         try:
@@ -67,8 +63,7 @@ def _worker_main(conn) -> None:
         elif op == "run":
             config, spec = payload
             try:
-                _process_worker_init(config)
-                row = _process_worker_run(spec)
+                row = _process_worker_run(config, spec)
                 conn.send(("row", row))
             except KeyboardInterrupt:
                 return

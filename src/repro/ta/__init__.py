@@ -11,7 +11,6 @@ from repro.ta.bounds import (
     analyze_lu_bounds,
     available_abstractions,
     resolve_abstraction,
-    set_abstraction,
 )
 from repro.ta.builder import AutomatonBuilder, NetworkBuilder
 from repro.ta.channels import Channel, Sync
@@ -88,6 +87,5 @@ __all__ = [
     "parse_update",
     "rename_channels",
     "resolve_abstraction",
-    "set_abstraction",
     "validate",
 ]

@@ -21,9 +21,8 @@ The ``Extra⁺_LU`` operator built on these maps (see
 collapsing zone graphs by large constant factors.
 
 This module hosts the *static analysis* producing those maps plus the
-process-wide abstraction-selection plumbing (:class:`AbstractionSpec`,
-:func:`resolve_abstraction`, :func:`set_abstraction`,
-``REPRO_ABSTRACTION``), mirroring the zone-backend selection in
+abstraction-selection plumbing (:class:`AbstractionSpec`,
+:func:`resolve_abstraction`), mirroring the zone-backend selection in
 :mod:`repro.zones.backend`.
 
 The analysis is a backward data-flow fixpoint per automaton:
@@ -65,7 +64,6 @@ __all__ = [
     "analyze_lu_bounds",
     "available_abstractions",
     "resolve_abstraction",
-    "set_abstraction",
 ]
 
 #: "This clock needs no bound of this kind here" — any finite bound is
@@ -77,7 +75,8 @@ EXTRA_M = "extra_m"
 EXTRA_LU = "extra_lu"
 
 #: Environment override for the default abstraction (like
-#: ``REPRO_ZONE_BACKEND`` for the kernel choice).
+#: ``REPRO_ZONE_BACKEND`` for the kernel choice), read by
+#: :meth:`repro.mc.parallel.EngineConfig.resolve`.
 ENV_ABSTRACTION = "REPRO_ABSTRACTION"
 
 _ALIASES = {
@@ -87,8 +86,6 @@ _ALIASES = {
     "extra_lu_plus": EXTRA_LU,
     "lu": EXTRA_LU,
 }
-
-_forced: str | None = None
 
 
 @dataclass(frozen=True)
@@ -119,39 +116,17 @@ def available_abstractions() -> tuple[str, ...]:
     return (EXTRA_M, EXTRA_LU)
 
 
-def set_abstraction(name: str | None) -> None:
-    """Install a process-wide abstraction override (``None`` clears it).
-
-    Accepts ``extra_m`` (alias ``m``) or ``extra_lu`` (aliases
-    ``lu``/``extra_lu_plus``) — the CLI ``--abstraction`` flag maps to
-    this, exactly like ``--zone-backend`` maps to
-    :func:`repro.zones.backend.set_backend`.
-    """
-    global _forced
-    if name is not None and name not in _ALIASES:
-        raise ValueError(
-            f"unknown abstraction {name!r} "
-            f"(choose from: {', '.join(sorted(set(_ALIASES)))})")
-    _forced = name
-
-
 def resolve_abstraction(
         name: str | AbstractionSpec | None = None) -> AbstractionSpec:
     """Resolve an abstraction spec.
 
-    Order: explicit name > :func:`set_abstraction` override >
-    ``REPRO_ABSTRACTION`` environment variable > ``extra_m`` (so every
-    existing bit-identity pin stands by default).
+    ``None`` means ``extra_m``, so every existing bit-identity pin
+    stands by default.
     """
     if isinstance(name, AbstractionSpec):
         return name
     if name is None:
-        if _forced is not None:
-            name = _forced
-        else:
-            from repro.envvars import env_choice
-            name = env_choice(ENV_ABSTRACTION, _ALIASES,
-                              default=EXTRA_M)
+        name = EXTRA_M
     key = _ALIASES.get(name)
     if key is None:
         raise ValueError(

@@ -2,16 +2,16 @@
 
 The list-based :class:`DBM` is the portable reference backend; a
 vectorized numpy backend lives in :mod:`repro.zones.dbm_numpy` and is
-auto-selected via :mod:`repro.zones.backend` (``REPRO_ZONE_BACKEND``
-environment variable, ``set_backend`` or the CLI ``--zone-backend``
-flag) when numpy is importable.
+auto-selected via :mod:`repro.zones.backend` when numpy is importable
+(or chosen by name: the explorer's ``zone_backend=``, a
+:class:`~repro.api.Session`'s ``backend=``, the CLI ``--zone-backend``
+flag or the ``REPRO_ZONE_BACKEND`` environment variable).
 """
 
 from repro.zones.backend import (
     ZoneBackend,
     available_backends,
     resolve_backend,
-    set_backend,
 )
 from repro.zones.bounds import (
     INF,
@@ -44,5 +44,4 @@ __all__ = [
     "encode",
     "negate_weak",
     "resolve_backend",
-    "set_backend",
 ]

@@ -17,13 +17,13 @@ Three interchangeable backends implement the
     --inplace``, or the ``[native]`` install extra); simply absent
     from :func:`available_backends` when unbuilt.
 
-Selection order for :func:`resolve_backend`:
-
-1. an explicit name passed by the caller (e.g. the explorer's
-   ``zone_backend=`` parameter or the CLI ``--zone-backend`` flag),
-2. a process-wide override installed via :func:`set_backend`,
-3. the ``REPRO_ZONE_BACKEND`` environment variable,
-4. ``auto``: the cheapest available backend for the workload at hand.
+:func:`resolve_backend` takes the name its caller passes (the
+explorer's ``zone_backend=`` parameter); ``None`` means ``auto``, the
+cheapest available backend for the workload at hand.  The
+``REPRO_ZONE_BACKEND`` environment variable is read only by
+:meth:`repro.mc.parallel.EngineConfig.resolve`, when a
+:class:`~repro.api.Session`, the CLI or the daemon is constructed,
+and reaches the explorers as an explicit name from there.
 
 ``auto`` is hint-aware: callers that know the compiled network (the
 explorers) pass a :class:`~repro.zones.costmodel.BackendHint` with the
@@ -50,7 +50,6 @@ __all__ = [
     "available_backends",
     "requested_backend",
     "resolve_backend",
-    "set_backend",
 ]
 
 ENV_VAR = "REPRO_ZONE_BACKEND"
@@ -73,19 +72,9 @@ class ZoneBackend(NamedTuple):
     bucket: type
 
 
-def _env_backend() -> str:
-    """``REPRO_ZONE_BACKEND``, validated at read time (fail fast —
-    a daemon must reject a typo at boot, not inside a request)."""
-    from repro.envvars import env_choice
-
-    return env_choice(ENV_VAR, ("auto", *_ALIASES),
-                      default="auto")
-
-
 _REFERENCE = ZoneBackend("reference", DBM, ReferencePassedBucket)
 _numpy_backend: ZoneBackend | None = None
 _native_backend: ZoneBackend | None = None
-_forced: str | None = None
 
 
 def _load_numpy() -> ZoneBackend:
@@ -125,35 +114,16 @@ def available_backends() -> tuple[str, ...]:
     return tuple(names)
 
 
-def set_backend(name: str | None) -> None:
-    """Install a process-wide backend override (``None`` clears it).
-
-    Accepts ``auto``, ``reference`` (aliases ``python``/``list``),
-    ``numpy`` or ``native`` (alias ``c``); validation of availability
-    happens at resolve time so an early CLI call cannot crash on a
-    missing optional dependency.
-    """
-    global _forced
-    if name is not None and name != "auto" and name not in _ALIASES:
-        raise ValueError(
-            f"unknown zone backend {name!r} "
-            f"(choose from: auto, {', '.join(sorted(set(_ALIASES)))})")
-    _forced = name
-
-
 def requested_backend(name: str | None = None) -> str:
     """The *effective spec* before availability resolution.
 
-    Returns ``"auto"`` or a canonical backend name, following the same
-    explicit > override > environment > default order as
-    :func:`resolve_backend`.  Lets :class:`EngineConfig`-style replay
-    snapshots preserve an ``auto`` request literally, so worker
-    processes re-resolve per model instead of inheriting one frozen
-    choice (bit-identity across backends makes that safe).
+    Returns ``"auto"`` (also for ``None``) or a canonical backend name.
+    Lets :class:`~repro.mc.parallel.EngineConfig` preserve an ``auto``
+    request literally, so explorers and worker processes re-resolve
+    per model instead of inheriting one frozen choice (bit-identity
+    across backends makes that safe).
     """
-    if name is None:
-        name = _forced or _env_backend()
-    if name == "auto":
+    if name is None or name == "auto":
         return "auto"
     key = _ALIASES.get(name)
     if key is None:
@@ -177,15 +147,13 @@ def _resolve_auto(hint=None) -> ZoneBackend:
 
 def resolve_backend(name: str | None = None, *,
                     hint=None) -> ZoneBackend:
-    """Resolve a backend spec (see the module docstring for the order).
+    """Resolve a backend spec (``None`` means ``auto``).
 
     ``hint`` is an optional :class:`~repro.zones.costmodel.BackendHint`
     consulted only when the spec resolves to ``auto``; explicit names
     ignore it.
     """
-    if name is None:
-        name = _forced or _env_backend()
-    if name == "auto":
+    if name is None or name == "auto":
         return _resolve_auto(hint)
     key = _ALIASES.get(name)
     if key is None:

@@ -28,6 +28,7 @@ from repro.apps.schemes import scheme_grid
 from repro.core.framework import TimingVerificationFramework
 from repro.core.transform import transform
 from repro.mc.observers import check_bounded_response, max_response_delay
+from repro.mc.parallel import EngineConfig
 from repro.mc.portfolio import PortfolioVerifier, portfolio_jobs
 from repro.mc.queries import (
     BoundedResponseQuery,
@@ -42,9 +43,8 @@ from repro.ta.bounds import (
     analyze_lu_bounds,
     available_abstractions,
     resolve_abstraction,
-    set_abstraction,
 )
-from repro.zones.backend import available_backends, set_backend
+from repro.zones.backend import available_backends
 from repro.zones.bounds import encode
 from repro.zones.dbm import DBM
 
@@ -77,9 +77,7 @@ def witness_locations(witness: str | None) -> str | None:
 
 @pytest.fixture(params=BACKENDS)
 def backend(request):
-    set_backend(request.param)
-    yield request.param
-    set_backend(None)
+    return request.param
 
 
 # =====================================================================
@@ -88,25 +86,26 @@ def backend(request):
 @pytest.mark.parametrize("jobs", JOBS)
 def test_query_matrix_verdicts_sups_and_witness_locations(backend, jobs):
     network = tiny_network()
+    engine = dict(jobs=jobs, zone_backend=backend)
     m = check_bounded_response(network, "m_Req", "c_Ack", DEADLINE,
-                               jobs=jobs)
+                               **engine)
     lu = check_bounded_response(network, "m_Req", "c_Ack", DEADLINE,
-                                jobs=jobs, abstraction="extra_lu")
+                                abstraction="extra_lu", **engine)
     assert m.holds == lu.holds is False
     assert witness_locations(m.counterexample) == \
         witness_locations(lu.counterexample)
     assert m.visited == 43  # the Extra_M seed pin stands untouched
     assert lu.visited == TINY_LU_REQ1_VISITED
 
-    sup_m = max_response_delay(network, "m_Req", "c_Ack", jobs=jobs)
-    sup_lu = max_response_delay(network, "m_Req", "c_Ack", jobs=jobs,
-                                abstraction="extra_lu")
+    sup_m = max_response_delay(network, "m_Req", "c_Ack", **engine)
+    sup_lu = max_response_delay(network, "m_Req", "c_Ack",
+                                abstraction="extra_lu", **engine)
     assert (sup_m.bounded, sup_m.sup, sup_m.attained) == \
         (sup_lu.bounded, sup_lu.sup, sup_lu.attained)
 
-    stats_m = zone_graph_stats(network, jobs=jobs)
-    stats_lu = zone_graph_stats(network, jobs=jobs,
-                                abstraction="extra_lu")
+    stats_m = zone_graph_stats(network, **engine)
+    stats_lu = zone_graph_stats(network, abstraction="extra_lu",
+                                **engine)
     assert (stats_m.states, stats_m.transitions) == (68, 85)
     assert (stats_lu.states, stats_lu.transitions) == \
         (TINY_LU_STATES, TINY_LU_TRANSITIONS)
@@ -116,7 +115,8 @@ def test_query_matrix_verdicts_sups_and_witness_locations(backend, jobs):
 
 def test_sequential_engine_matches_sharded_lu(backend):
     network = tiny_network()
-    seq = zone_graph_stats(network, abstraction="extra_lu")
+    seq = zone_graph_stats(network, zone_backend=backend,
+                           abstraction="extra_lu")
     assert (seq.states, seq.transitions) == \
         (TINY_LU_STATES, TINY_LU_TRANSITIONS)
 
@@ -143,8 +143,9 @@ def test_check_many_parity_across_abstractions(backend):
         BoundedResponseQuery("m_Req", "c_Ack", DEADLINE),
         ResponseSupQuery("m_Req", "c_Ack"),
     ]
-    m = check_many(network, queries)
-    lu = check_many(network, queries, abstraction="extra_lu")
+    m = check_many(network, queries, zone_backend=backend)
+    lu = check_many(network, queries, zone_backend=backend,
+                    abstraction="extra_lu")
     assert m.explorations == lu.explorations == 1
     assert m.results[1].holds == lu.results[1].holds
     assert (m.results[2].sup, m.results[2].attained) == \
@@ -380,21 +381,13 @@ class TestAbstractionSelection:
         with pytest.raises(ValueError, match="unknown abstraction"):
             resolve_abstraction("extra_xyz")
         with pytest.raises(ValueError, match="unknown abstraction"):
-            set_abstraction("nope")
-
-    def test_set_abstraction_override(self):
-        set_abstraction("extra_lu")
-        try:
-            assert resolve_abstraction(None).is_lu
-            # Explicit names still win over the override.
-            assert resolve_abstraction("extra_m").name == "extra_m"
-        finally:
-            set_abstraction(None)
-        assert resolve_abstraction(None).name == "extra_m"
+            EngineConfig.resolve(abstraction="nope")
 
     def test_env_variable(self, monkeypatch):
         monkeypatch.setenv("REPRO_ABSTRACTION", "extra_lu")
-        assert resolve_abstraction(None).is_lu
+        assert EngineConfig.resolve().abstraction == "extra_lu"
+        # Below the resolver, None is the default — never the env.
+        assert resolve_abstraction(None).name == "extra_m"
 
     def test_cli_flag_exists(self):
         from repro.cli import build_parser
@@ -402,25 +395,13 @@ class TestAbstractionSelection:
             ["--abstraction", "extra_lu", "scheme"])
         assert args.abstraction == "extra_lu"
 
-    def test_explorer_resolves_process_override(self):
-        from repro.mc.explorer import ZoneGraphExplorer
-        set_abstraction("extra_lu")
-        try:
-            explorer = ZoneGraphExplorer(tiny_network())
-            assert explorer.abstraction.is_lu
-        finally:
-            set_abstraction(None)
-
     def test_deadlock_query_pins_extra_m(self):
-        """Timelock detection reads zone upper bounds — it must stay
-        on Extra_M even under a process-wide LU override."""
+        """Timelock detection reads zone upper bounds — it runs on
+        Extra_M and refuses an LU request."""
         from repro.mc.deadlock import find_deadlocks
-        set_abstraction("extra_lu")
-        try:
-            report = find_deadlocks(tiny_network())
-        finally:
-            set_abstraction(None)
-        assert report.deadlock_free
+        assert find_deadlocks(tiny_network()).deadlock_free
+        with pytest.raises(ValueError, match="extra_m"):
+            find_deadlocks(tiny_network(), abstraction="extra_lu")
 
 
 def test_no_bound_sentinel_widens_everything():

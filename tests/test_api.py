@@ -1,14 +1,16 @@
 """Tests for :mod:`repro.api` — the unified ``Session`` front door.
 
 The contract under test: every knob resolves ONCE at construction,
-with the canonical precedence *explicit argument > process override >
-environment variable > default*; a mis-set environment variable fails
-at ``Session(...)`` time; the deprecated module-level wrappers still
-work but warn.
+with the canonical precedence *explicit argument > environment
+variable > default*; a mis-set environment variable fails at
+``Session(...)`` time; the resolved values travel explicitly, so
+concurrent sessions with different settings never see each other's
+configuration.
 """
 
 from __future__ import annotations
 
+import threading
 import warnings
 
 import pytest
@@ -16,8 +18,9 @@ import pytest
 import repro.api as api
 from repro.api import FAULT_AXES, Session
 from repro.envvars import EnvVarError
+from repro.mc.explorer import ZoneGraphExplorer
 from repro.ta.bounds import EXTRA_LU, EXTRA_M
-from repro.zones import backend as zone_backend
+from repro.zones.backend import requested_backend
 from tests.conftest import build_tiny_pim, build_tiny_scheme
 
 REQ = dict(input_channel="m_Req", output_channel="c_Ack",
@@ -111,10 +114,10 @@ class TestVerbs:
 
     def test_backend_pin_is_scoped_to_the_call(self):
         pim, scheme = build_tiny_pim(), build_tiny_scheme()
-        before = zone_backend._forced
         session = Session(backend="reference")
         session.verify(pim, scheme, **REQ)
-        assert zone_backend._forced == before
+        assert requested_backend() == "auto"
+        assert Session().backend == "auto"
 
     def test_portfolio_uses_session_executor(self):
         from repro.apps.schemes import scheme_grid
@@ -126,22 +129,77 @@ class TestVerbs:
         assert all(r.report.implementation_guarantee for r in results)
 
 
-class TestDeprecatedWrappers:
-    def test_verify_wrapper_warns_and_works(self):
+class TestConcurrentSessions:
+    def test_overlapping_sessions_keep_their_own_backend(
+            self, monkeypatch):
+        """Two Session calls on different backends overlap on two
+        threads: each explores with its own backend, and once both
+        return the default resolution is unchanged."""
         pim, scheme = build_tiny_pim(), build_tiny_scheme()
-        with pytest.warns(DeprecationWarning,
-                          match="repro.api.Session"):
-            report = api.verify(pim, scheme, backend="reference",
-                                **REQ)
-        assert report.implementation_guarantee
+        seen: dict[str, set[str]] = {"reference": set(), "numpy": set()}
+        reference_inside = threading.Event()
+        numpy_inside = threading.Event()
+        reference_done = threading.Event()
+        original = ZoneGraphExplorer.__init__
 
-    def test_monitor_wrapper_warns(self):
-        pim, scheme = build_tiny_pim(), build_tiny_scheme()
-        with pytest.warns(DeprecationWarning):
-            verdicts = api.monitor([[]], pim=pim, scheme=scheme,
-                                   max_states=50_000)
-        assert verdicts[0]["conforming"] is True
-        assert verdicts[0]["observed"] == 0
+        def spy(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            name = threading.current_thread().name
+            if name not in seen:
+                return
+            seen[name].add(self.backend.name)
+            # Interleave: the reference call builds its first
+            # explorer, then the numpy call starts and builds one
+            # while the reference call is still running, and the
+            # numpy call finishes only after the reference call.
+            if name == "reference" and not reference_inside.is_set():
+                reference_inside.set()
+                numpy_inside.wait(30)
+            elif name == "numpy" and not numpy_inside.is_set():
+                numpy_inside.set()
+                reference_done.wait(30)
+
+        monkeypatch.setattr(ZoneGraphExplorer, "__init__", spy)
+        errors: list[BaseException] = []
+
+        def run(backend: str, start: threading.Event | None,
+                done: threading.Event | None) -> None:
+            try:
+                if start is not None:
+                    start.wait(30)
+                report = Session(backend=backend).verify(pim, scheme,
+                                                         **REQ)
+                assert report.implementation_guarantee
+            except BaseException as exc:
+                errors.append(exc)
+            finally:
+                if done is not None:
+                    done.set()
+
+        threads = [
+            threading.Thread(target=run, name="reference",
+                             args=("reference", None, reference_done)),
+            threading.Thread(target=run, name="numpy",
+                             args=("numpy", reference_inside, None)),
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(60)
+            assert not thread.is_alive()
+        assert not errors, errors
+        assert numpy_inside.is_set() and reference_done.is_set()
+        assert seen == {"reference": {"reference"},
+                        "numpy": {"numpy"}}
+        assert requested_backend() == "auto"
+        assert Session().backend == "auto"
+
+
+class TestDeprecatedWrappers:
+    def test_wrappers_are_gone(self):
+        assert api.__all__ == ["Session"]
+        for name in ("verify", "portfolio", "monitor"):
+            assert not hasattr(api, name)
 
     def test_session_itself_does_not_warn(self):
         with warnings.catch_warnings():

@@ -104,6 +104,32 @@ class TestCommands:
         assert "invocation 4: i2" in out
         assert "invocation 5: i3" in out
 
+    def test_table1_takes_the_command_config(self, monkeypatch,
+                                             capsys):
+        """``table1`` verifies on the engine config ``main`` resolved
+        from the global flags."""
+        import repro.cli as cli
+
+        seen = {}
+
+        class Table:
+            shape_holds = True
+
+            def render(self):
+                return "table"
+
+        def fake_run_case_study(**kwargs):
+            seen.update(kwargs)
+            return Table()
+
+        monkeypatch.setattr(cli, "run_case_study", fake_run_case_study)
+        assert main(["--zone-backend", "reference", "--jobs", "2",
+                     "table1", "--trials", "1"]) == 0
+        framework = seen["framework"]
+        assert (framework.backend, framework.jobs) == ("reference", 2)
+        assert framework.max_states == 2_000_000
+        assert seen["trials"] == 1
+
     def test_simulate_small(self, capsys):
         assert main(["simulate", "--trials", "3", "--seed", "1"]) == 0
         out = capsys.readouterr().out
@@ -126,6 +152,26 @@ class TestMonitorCommand:
                      "--monitor"]) == 0
         out = capsys.readouterr().out
         assert "monitor: conforming" in out
+
+    def test_simulate_monitor_takes_the_command_config(
+            self, monkeypatch, capsys):
+        """``simulate --monitor`` builds its monitor model on the
+        engine config ``main`` resolved from the global flags."""
+        from repro.monitor import MonitorModel
+
+        seen = []
+        original = MonitorModel.__init__
+
+        def spy(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            seen.append((self.backend.name, self.abstraction.name))
+
+        monkeypatch.setattr(MonitorModel, "__init__", spy)
+        assert main(["--zone-backend", "reference", "--abstraction",
+                     "extra_lu", "simulate", "--trials", "1",
+                     "--seed", "1", "--monitor"]) == 0
+        assert seen == [("reference", "extra_lu")]
+        assert "monitor: conforming" in capsys.readouterr().out
 
     def test_monitor_trace_files(self, tmp_path, capsys):
         """A simulated case-study run conforms; a perturbed copy is

@@ -3,9 +3,10 @@
 Each variable gets the same three checks: an invalid value raises
 :class:`~repro.envvars.EnvVarError` whose one-line message names the
 variable, a valid value resolves, and unset/blank falls back to the
-default.  The point of the satellite bugfix is the *where*: the error
-fires at the resolution entry point (CLI startup, daemon boot), not as
-a deep traceback at first use inside a worker.
+default.  The point is the *where*: the variables are read only by
+:meth:`~repro.mc.parallel.EngineConfig.resolve`, so the error fires at
+the resolution entry point (``Session``, CLI startup, daemon boot),
+not as a deep traceback at first use inside a worker.
 """
 
 from __future__ import annotations
@@ -13,11 +14,10 @@ from __future__ import annotations
 import pytest
 
 from repro.envvars import EnvVarError, env_choice, env_int
-from repro.mc.parallel import ENV_JOBS, resolve_jobs
+from repro.mc.parallel import ENV_JOBS, EngineConfig
 from repro.mc.portfolio import ENV_EXECUTOR, resolve_executor
-from repro.ta.bounds import ENV_ABSTRACTION, EXTRA_M, resolve_abstraction
+from repro.ta.bounds import ENV_ABSTRACTION, EXTRA_M
 from repro.zones.backend import ENV_VAR as ENV_ZONE_BACKEND
-from repro.zones.backend import requested_backend
 
 
 class TestHelpers:
@@ -71,42 +71,36 @@ class TestHelpers:
 
 
 class TestReproJobs:
-    @pytest.fixture(autouse=True)
-    def _no_default_jobs(self, monkeypatch):
-        # set_default_jobs overrides the env; clear it for these tests
-        import repro.mc.parallel as parallel
-        monkeypatch.setattr(parallel, "_default_jobs", None)
-
     def test_valid(self, monkeypatch):
         monkeypatch.setenv(ENV_JOBS, "3")
-        assert resolve_jobs(None) == 3
+        assert EngineConfig.resolve().jobs == 3
 
     def test_invalid_names_variable(self, monkeypatch):
         monkeypatch.setenv(ENV_JOBS, "two")
         with pytest.raises(EnvVarError) as err:
-            resolve_jobs(None)
+            EngineConfig.resolve()
         assert ENV_JOBS in str(err.value)
         assert "\n" not in str(err.value)
 
     def test_zero_rejected(self, monkeypatch):
         monkeypatch.setenv(ENV_JOBS, "0")
         with pytest.raises(EnvVarError):
-            resolve_jobs(None)
+            EngineConfig.resolve()
 
     def test_unset_falls_back(self, monkeypatch):
         monkeypatch.delenv(ENV_JOBS, raising=False)
-        assert resolve_jobs(None) is None  # sequential engine
+        assert EngineConfig.resolve().jobs is None  # sequential engine
 
 
 class TestReproExecutor:
     def test_valid(self, monkeypatch):
         monkeypatch.setenv(ENV_EXECUTOR, "process")
-        assert resolve_executor(None) == "process"
+        assert EngineConfig.resolve().executor == "process"
 
     def test_invalid_names_variable(self, monkeypatch):
         monkeypatch.setenv(ENV_EXECUTOR, "fork-bomb")
         with pytest.raises(EnvVarError) as err:
-            resolve_executor(None)
+            EngineConfig.resolve()
         message = str(err.value)
         assert ENV_EXECUTOR in message
         assert "thread" in message and "process" in message
@@ -114,27 +108,24 @@ class TestReproExecutor:
 
     def test_unset_defaults_to_thread(self, monkeypatch):
         monkeypatch.delenv(ENV_EXECUTOR, raising=False)
-        assert resolve_executor(None) == "thread"
+        assert EngineConfig.resolve().executor == "thread"
 
     def test_explicit_argument_still_validated(self):
         with pytest.raises(ValueError):
             resolve_executor("bogus")
+        with pytest.raises(ValueError):
+            EngineConfig.resolve(executor="bogus")
 
 
 class TestReproZoneBackend:
-    @pytest.fixture(autouse=True)
-    def _no_forced_backend(self, monkeypatch):
-        import repro.zones.backend as backend
-        monkeypatch.setattr(backend, "_forced", None)
-
     def test_valid_alias(self, monkeypatch):
         monkeypatch.setenv(ENV_ZONE_BACKEND, "python")
-        assert requested_backend() == "reference"
+        assert EngineConfig.resolve().backend == "reference"
 
     def test_invalid_names_variable(self, monkeypatch):
         monkeypatch.setenv(ENV_ZONE_BACKEND, "cuda")
         with pytest.raises(EnvVarError) as err:
-            requested_backend()
+            EngineConfig.resolve()
         message = str(err.value)
         assert ENV_ZONE_BACKEND in message
         assert "reference" in message
@@ -142,23 +133,18 @@ class TestReproZoneBackend:
 
     def test_unset_is_auto(self, monkeypatch):
         monkeypatch.delenv(ENV_ZONE_BACKEND, raising=False)
-        assert requested_backend() == "auto"
+        assert EngineConfig.resolve().backend == "auto"
 
 
 class TestReproAbstraction:
-    @pytest.fixture(autouse=True)
-    def _no_forced_abstraction(self, monkeypatch):
-        import repro.ta.bounds as bounds
-        monkeypatch.setattr(bounds, "_forced", None)
-
     def test_valid(self, monkeypatch):
         monkeypatch.setenv(ENV_ABSTRACTION, "lu")
-        assert resolve_abstraction(None).name == "extra_lu"
+        assert EngineConfig.resolve().abstraction == "extra_lu"
 
     def test_invalid_names_variable(self, monkeypatch):
         monkeypatch.setenv(ENV_ABSTRACTION, "none")
         with pytest.raises(EnvVarError) as err:
-            resolve_abstraction(None)
+            EngineConfig.resolve()
         message = str(err.value)
         assert ENV_ABSTRACTION in message
         assert "extra_m" in message
@@ -166,4 +152,4 @@ class TestReproAbstraction:
 
     def test_unset_defaults_to_extra_m(self, monkeypatch):
         monkeypatch.delenv(ENV_ABSTRACTION, raising=False)
-        assert resolve_abstraction(None).name == EXTRA_M
+        assert EngineConfig.resolve().abstraction == EXTRA_M

@@ -21,10 +21,10 @@ from repro.core.transform import transform
 from repro.mc.explorer import ExplorationLimit, ZoneGraphExplorer
 from repro.mc.observers import check_bounded_response, max_response_delay
 from repro.mc.parallel import (
+    EngineConfig,
     ShardedZoneGraphExplorer,
     make_explorer,
     resolve_jobs,
-    set_default_jobs,
 )
 from repro.mc.queries import zone_graph_stats
 from repro.mc.reachability import StateFormula, check_reachable
@@ -180,23 +180,17 @@ class TestJobsResolution:
     def test_explicit_wins(self):
         assert resolve_jobs(3) == 3
 
-    def test_set_default_jobs(self):
-        set_default_jobs(2)
-        try:
-            assert resolve_jobs(None) == 2
-        finally:
-            set_default_jobs(None)
-        assert resolve_jobs(None) is None
-
     def test_env_override(self, monkeypatch):
         monkeypatch.setenv("REPRO_JOBS", "4")
-        assert resolve_jobs(None) == 4
+        assert EngineConfig.resolve().jobs == 4
+        # Below the resolver, None is the sequential default.
+        assert resolve_jobs(None) is None
 
     def test_invalid_jobs_rejected(self):
         with pytest.raises(ValueError):
             resolve_jobs(0)
         with pytest.raises(ValueError):
-            set_default_jobs(-1)
+            EngineConfig.resolve(jobs=-1)
 
     def test_factory_picks_engine(self, tiny_network):
         assert isinstance(make_explorer(tiny_network),

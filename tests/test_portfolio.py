@@ -32,7 +32,7 @@ from repro.mc.portfolio import (
     resolve_executor,
 )
 from repro.mc.parallel import WorkStealingPool
-from repro.zones.backend import available_backends, set_backend
+from repro.zones.backend import available_backends
 from repro.zones.intern import ZoneInternTable
 
 from tests.conftest import build_tiny_pim, build_tiny_scheme
@@ -46,10 +46,8 @@ CHANNELS = dict(input_channel="m_Req", output_channel="c_Ack")
 
 @pytest.fixture(params=BACKENDS)
 def backend(request):
-    """Force one zone backend globally (framework calls honor it)."""
-    set_backend(request.param)
-    yield request.param
-    set_backend(None)
+    """One zone backend, passed explicitly to every verifier."""
+    return request.param
 
 
 def grid_3x2():
@@ -65,9 +63,9 @@ def run_portfolio(schemes, *, jobs, **verifier_kwargs):
         **CHANNELS))
 
 
-def sequential_reports(schemes):
+def sequential_reports(schemes, backend=None):
     pim = build_tiny_pim()
-    framework = TimingVerificationFramework()
+    framework = TimingVerificationFramework(backend=backend)
     return [
         framework.verify(pim, scheme, deadline_ms=DEADLINE,
                          measure_suprema=True, **CHANNELS)
@@ -83,8 +81,9 @@ def sequential_reports(schemes):
 @pytest.mark.parametrize("jobs", JOBS)
 def test_differential_matrix(backend, jobs, executor):
     schemes = grid_3x2()
-    outcome = run_portfolio(schemes, jobs=jobs, executor=executor)
-    reports = sequential_reports(schemes)
+    outcome = run_portfolio(schemes, backend=backend, jobs=jobs,
+                            executor=executor)
+    reports = sequential_reports(schemes, backend)
 
     assert outcome.executor == executor
     assert len(outcome) == 6
@@ -130,8 +129,9 @@ def test_sixteen_scheme_grid_bit_identical_to_sequential():
 def test_concurrent_run_matches_sequential_run(backend):
     """concurrency>1 commits the same rows as the inline scheduler."""
     schemes = grid_3x2()
-    inline = run_portfolio(schemes, jobs=1)
-    threaded = run_portfolio(schemes, jobs=4, concurrency=3)
+    inline = run_portfolio(schemes, backend=backend, jobs=1)
+    threaded = run_portfolio(schemes, backend=backend, jobs=4,
+                             concurrency=3)
     for a, b in zip(inline, threaded):
         assert a.name == b.name
         assert a.report.bounds == b.report.bounds
@@ -242,9 +242,9 @@ def test_fused_mode_same_verdicts_one_sweep(backend):
     from repro.mc.explorer import exploration_count
 
     schemes = grid_3x2()
-    default = run_portfolio(schemes, jobs=1)
+    default = run_portfolio(schemes, backend=backend, jobs=1)
     before = exploration_count()
-    fused = run_portfolio(schemes, jobs=1, fused=True)
+    fused = run_portfolio(schemes, backend=backend, jobs=1, fused=True)
     fused_explorations = exploration_count() - before
     for a, b in zip(default, fused):
         assert a.report.bounds == b.report.bounds
@@ -275,8 +275,8 @@ def test_intern_table_scoped_per_run_by_default():
     """A long-lived process sweeping many grids must not accumulate
     zones across portfolio runs: the default interning policy scopes
     a fresh table to each ``run`` call, leaving the process-global
-    table untouched.  ``scoped_intern=False`` restores the old
-    cross-run behavior."""
+    table untouched.  Passing that table explicitly as ``intern=``
+    restores the old cross-run behavior."""
     from repro.zones.intern import global_intern_table
 
     table = global_intern_table()
@@ -285,7 +285,7 @@ def test_intern_table_scoped_per_run_by_default():
     assert len(table) == 0  # nothing leaked into the global table
     # Results are identical either way (same grid, same rows).
     scoped = run_portfolio(grid_3x2(), jobs=2)
-    legacy = run_portfolio(grid_3x2(), jobs=2, scoped_intern=False)
+    legacy = run_portfolio(grid_3x2(), jobs=2, intern=table)
     assert len(table) > 0   # the legacy mode populates the global
     for a, b in zip(scoped, legacy):
         assert a.report.bounds == b.report.bounds
@@ -350,10 +350,12 @@ def test_process_differential_both_abstractions(backend, abstraction):
     under either extrapolation operator, on either backend (workers
     replay the parent's resolved backend/abstraction)."""
     schemes = grid_3x2()
-    outcome = run_portfolio(schemes, jobs=3, executor="process",
+    outcome = run_portfolio(schemes, backend=backend, jobs=3,
+                            executor="process",
                             abstraction=abstraction)
     pim = build_tiny_pim()
-    framework = TimingVerificationFramework(abstraction=abstraction)
+    framework = TimingVerificationFramework(backend=backend,
+                                            abstraction=abstraction)
     assert outcome.all_ok and outcome.executor == "process"
     for row, scheme in zip(outcome, schemes):
         expected = framework.verify(pim, scheme, deadline_ms=DEADLINE,
@@ -457,6 +459,45 @@ def test_process_worker_crash_yields_error_rows_not_a_dead_sweep():
     assert healthy.all_ok
 
 
+def test_process_worker_takes_its_config_as_an_argument():
+    """The process-worker entry point reads nothing process-wide: the
+    backend and abstraction it runs on come with each job."""
+    from repro.mc.explorer import ZoneGraphExplorer
+    from repro.mc.parallel import EngineConfig
+    from repro.mc.portfolio import (
+        _process_worker_run,
+        _ProcessConfig,
+        _ProcessJobSpec,
+    )
+
+    job = PortfolioJob(name="tiny", pim=build_tiny_pim(),
+                       scheme=build_tiny_scheme(),
+                       deadline_ms=DEADLINE, **CHANNELS)
+    expected = run_portfolio([job.scheme], jobs=None)[0]
+    for backend in BACKENDS:
+        seen = set()
+        original = ZoneGraphExplorer.__init__
+
+        def spy(self, *args, **kwargs):
+            original(self, *args, **kwargs)
+            seen.add((self.backend.name, self.abstraction.name))
+
+        config = _ProcessConfig(
+            engine=EngineConfig(backend=backend,
+                                abstraction="extra_lu"),
+            max_states=500_000, fused=False)
+        ZoneGraphExplorer.__init__ = spy
+        try:
+            row = _process_worker_run(
+                config, _ProcessJobSpec(index=0, job=job))
+        finally:
+            ZoneGraphExplorer.__init__ = original
+        assert row.ok
+        assert seen == {(backend, "extra_lu")}
+        assert row.report.bounds == expected.report.bounds
+        assert row.guarantee == expected.guarantee
+
+
 def test_process_results_commit_in_job_order_and_stream():
     schemes = grid_3x2()
     completion: list[str] = []
@@ -524,47 +565,47 @@ def test_process_fused_mode_same_verdicts():
 
 
 def test_executor_resolution_and_validation(monkeypatch):
+    from repro.api import Session
+
     monkeypatch.delenv(ENV_EXECUTOR, raising=False)
     assert resolve_executor() == "thread"
     assert resolve_executor("process") == "process"
     monkeypatch.setenv(ENV_EXECUTOR, "process")
-    assert resolve_executor() == "process"
+    # The environment reaches the verifier through the session ...
+    session = Session(jobs=1)
+    assert session.executor == "process"
+    outcome = session.portfolio(build_tiny_pim(), grid_3x2()[:1],
+                                deadline_ms=DEADLINE, **CHANNELS)
+    assert outcome.executor == "process"
+    # ... and never below it, where None means thread.
+    assert resolve_executor() == "thread"
     jobs = portfolio_jobs(build_tiny_pim(), grid_3x2()[:1],
                           deadline_ms=DEADLINE, **CHANNELS)
-    outcome = PortfolioVerifier(jobs=1).run(jobs)
-    assert outcome.executor == "process"  # env reached the verifier
+    assert PortfolioVerifier(jobs=1).run(jobs).executor == "thread"
     monkeypatch.setenv(ENV_EXECUTOR, "goroutine")
     with pytest.raises(ValueError, match="goroutine"):
-        resolve_executor()
-    with pytest.raises(ValueError, match="REPRO_EXECUTOR"):
-        PortfolioVerifier(jobs=1).run(jobs)
+        Session()
     with pytest.raises(ValueError, match="fiber"):
         PortfolioVerifier(executor="fiber")  # eager validation
 
 
-def test_engine_config_capture_and_pickle_roundtrip():
-    """The worker-replay snapshot resolves to concrete names and
-    survives pickling (it crosses the process boundary)."""
+def test_engine_config_capture_and_pickle_roundtrip(monkeypatch):
+    """The engine config resolves to canonical names and survives
+    pickling (it crosses the process boundary with every job)."""
     import pickle
 
     from repro.mc.parallel import EngineConfig
-    from repro.ta.bounds import set_abstraction
 
-    set_backend(BACKENDS[0])
-    set_abstraction("extra_lu")
-    try:
-        config = EngineConfig.capture(jobs=None)
-        assert config.backend == BACKENDS[0]
-        assert config.abstraction == "extra_lu"
-        assert config.jobs is None
-        assert pickle.loads(pickle.dumps(config)) == config
-        # Explicit arguments beat the globals, as everywhere else.
-        explicit = EngineConfig.capture(abstraction="extra_m", jobs=3)
-        assert explicit.abstraction == "extra_m"
-        assert explicit.jobs == 3
-    finally:
-        set_backend(None)
-        set_abstraction(None)
+    monkeypatch.setenv("REPRO_ABSTRACTION", "lu")
+    config = EngineConfig.resolve(backend=BACKENDS[0])
+    assert config.backend == BACKENDS[0]
+    assert config.abstraction == "extra_lu"
+    assert config.jobs is None
+    assert pickle.loads(pickle.dumps(config)) == config
+    # Explicit arguments beat the environment.
+    explicit = EngineConfig.resolve(abstraction="extra_m", jobs=3)
+    assert explicit.abstraction == "extra_m"
+    assert explicit.jobs == 3
 
 
 # ----------------------------------------------------------------------
@@ -601,9 +642,10 @@ def test_reuse_differential_matrix(backend, jobs, executor):
     executors and worker counts — and the memo actually fires (the
     3×2 grid's buffer axis collapses)."""
     schemes = grid_3x2()
-    baseline = run_portfolio(schemes, jobs=jobs, executor=executor)
-    reused = run_portfolio(schemes, jobs=jobs, executor=executor,
-                           reuse=True)
+    baseline = run_portfolio(schemes, backend=backend, jobs=jobs,
+                             executor=executor)
+    reused = run_portfolio(schemes, backend=backend, jobs=jobs,
+                           executor=executor, reuse=True)
     assert_rows_equal(baseline, reused)
     assert reused.reuse
     assert reused.memoized > 0
@@ -649,16 +691,17 @@ def test_small_grid_fallback_skips_shared_pool():
     """Satellite: on grids with at least as many jobs as workers the
     verifier runs whole jobs concurrently on inline engines instead
     of zone-level waves — the non-timing overhead proxy is the wave
-    counter, which must be zero under the fallback and positive when
-    the legacy shared pool is forced.  Rows agree bit-for-bit."""
+    counter, which must be zero under the fallback and positive on
+    the shared pool a wider pool (8 workers > 6 jobs) keeps.  Rows
+    agree bit-for-bit."""
     schemes = grid_3x2()
     fallback = run_portfolio(schemes, jobs=4)
-    legacy = run_portfolio(schemes, jobs=4, small_grid_fallback=False)
+    pooled = run_portfolio(schemes, jobs=8)
     assert fallback.pool_width == 0
     assert fallback.pool_waves == 0
-    assert legacy.pool_width == 4
-    assert legacy.pool_waves > 0
-    assert_rows_equal(legacy, fallback)
+    assert pooled.pool_width == 8
+    assert pooled.pool_waves > 0
+    assert_rows_equal(pooled, fallback)
 
 
 def test_fallback_requires_enough_jobs():
@@ -741,9 +784,10 @@ def test_prune_dominated_never_groups_suprema_jobs():
 
 def test_prune_and_reuse_compose(backend):
     schemes = grid_3x2()
-    baseline = PortfolioVerifier(jobs=1).run(prune_jobs(schemes))
-    combined = PortfolioVerifier(jobs=1, reuse=True,
-                                 prune_dominated=True).run(
+    baseline = PortfolioVerifier(jobs=1, backend=backend).run(
+        prune_jobs(schemes))
+    combined = PortfolioVerifier(jobs=1, backend=backend,
+                                 reuse=True, prune_dominated=True).run(
         prune_jobs(schemes))
     assert_rows_equal(baseline, combined, allow_derived=True)
     assert combined.pruned > 0
@@ -765,8 +809,8 @@ def test_process_reuse_and_prune():
 def test_warm_start_keeps_rows_identical_across_runs():
     schemes = grid_3x2()
     baseline = run_portfolio(schemes, jobs=2)
-    verifier = PortfolioVerifier(jobs=2, warm_start=True,
-                                 small_grid_fallback=False)
+    # 8 workers > 6 jobs: the grid runs on the shared pool.
+    verifier = PortfolioVerifier(jobs=8, warm_start=True)
     jobs = portfolio_jobs(build_tiny_pim(), schemes,
                           deadline_ms=DEADLINE, measure_suprema=True,
                           **CHANNELS)
@@ -785,9 +829,8 @@ def test_warm_start_cap_bounds_the_pinned_table():
     (visible in the outcome counters) and rows stay identical."""
     schemes = grid_3x2()
     baseline = run_portfolio(schemes, jobs=2)
-    verifier = PortfolioVerifier(jobs=2, warm_start=True,
-                                 warm_start_max_zones=8,
-                                 small_grid_fallback=False)
+    verifier = PortfolioVerifier(jobs=8, warm_start=True,
+                                 warm_start_max_zones=8)
     jobs = portfolio_jobs(build_tiny_pim(), schemes,
                           deadline_ms=DEADLINE, measure_suprema=True,
                           **CHANNELS)

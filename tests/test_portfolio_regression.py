@@ -15,7 +15,7 @@ import pytest
 
 from repro.apps.schemes import scheme_grid
 from repro.mc.portfolio import PortfolioVerifier, portfolio_jobs
-from repro.zones.backend import available_backends, set_backend
+from repro.zones.backend import available_backends
 
 from tests.conftest import build_tiny_pim, build_tiny_scheme
 
@@ -50,19 +50,18 @@ PIM_SWEEP_VISITED = 2
 
 @pytest.fixture(params=BACKENDS)
 def backend(request):
-    set_backend(request.param)
-    yield request.param
-    set_backend(None)
+    return request.param
 
 
 @pytest.mark.parametrize("jobs", (1, 4))
 def test_portfolio_counts_pinned(backend, jobs):
     schemes = scheme_grid(build_tiny_scheme,
                           buffer_size=(1, 2), period=(4, 5))
-    outcome = PortfolioVerifier(jobs=jobs).run(portfolio_jobs(
-        build_tiny_pim(), schemes, input_channel="m_Req",
-        output_channel="c_Ack", deadline_ms=DEADLINE,
-        measure_suprema=True))
+    outcome = PortfolioVerifier(jobs=jobs, backend=backend).run(
+        portfolio_jobs(
+            build_tiny_pim(), schemes, input_channel="m_Req",
+            output_channel="c_Ack", deadline_ms=DEADLINE,
+            measure_suprema=True))
     assert outcome.all_ok
     assert [row.name for row in outcome] == list(PINS)
     for row in outcome:

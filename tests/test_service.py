@@ -33,6 +33,7 @@ import pytest
 
 from repro.apps.schemes import scheme_grid
 from repro.core.framework import TimingVerificationFramework
+from repro.core.transform import transform
 from repro.mc.memo import MemoEntry
 from repro.mc.parallel import EngineConfig
 from repro.mc.portfolio import (
@@ -262,7 +263,7 @@ def _job_payload():
                        deadline_ms=DEADLINE, **CHANNELS)
     obligation = _compute_obligation(job, TimingVerificationFramework())
     config = _ProcessConfig(
-        engine=EngineConfig.capture(jobs=None), max_states=2_000_000,
+        engine=EngineConfig(), max_states=2_000_000,
         fused=False, obligations=(obligation,), reuse=True)
     return config, _ProcessJobSpec(index=0, job=job, obligation=0)
 
@@ -415,6 +416,19 @@ class TestDaemon:
                                           "cancelled", "errors"}
             with pytest.raises(ServiceError, match="unknown op"):
                 client._roundtrip({"op": "frobnicate"})
+
+    def test_stats_report_the_resolved_engine(self):
+        """The daemon resolves its engine config once and reports it;
+        every path below runs on that config."""
+        with daemon(backend="reference", jobs=None) as d, \
+                d.client() as client:
+            engine = client.stats()["engine"]
+            assert engine == {"backend": "reference",
+                              "abstraction": "extra_m", "jobs": None,
+                              "executor": "thread"}
+            model = d.scheduler.monitor_model(
+                transform(build_tiny_pim(), build_tiny_scheme()))
+            assert model.backend.name == "reference"
 
     def test_second_run_served_entirely_from_cache(self):
         """The acceptance criterion: repeated portfolio → 100%

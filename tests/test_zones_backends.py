@@ -33,7 +33,6 @@ from repro.zones.backend import (
     available_backends,
     requested_backend,
     resolve_backend,
-    set_backend,
 )
 from repro.zones.bounds import encode
 from repro.zones.costmodel import BackendHint, choose_backend
@@ -425,23 +424,6 @@ def test_native_unbuilt_fallback(monkeypatch):
     assert resolve_backend("auto").dbm is NumpyDBM
     with pytest.raises(RuntimeError, match="build_ext"):
         resolve_backend("native")
-
-
-def test_env_var_and_forced_selection(monkeypatch):
-    auto_dbm = resolve_backend("auto").dbm
-    monkeypatch.setenv("REPRO_ZONE_BACKEND", "reference")
-    assert resolve_backend().dbm is DBM
-    set_backend("numpy")
-    try:
-        # A forced backend wins over the environment variable.
-        assert resolve_backend().dbm is NumpyDBM
-    finally:
-        set_backend(None)
-    assert resolve_backend().dbm is DBM
-    monkeypatch.delenv("REPRO_ZONE_BACKEND")
-    assert resolve_backend().dbm is auto_dbm
-    with pytest.raises(ValueError):
-        set_backend("no-such-backend")
 
 
 # ----------------------------------------------------------------------
