@@ -2,8 +2,8 @@
 """End-to-end smoke test of the ``repro serve`` daemon.
 
 Boots the daemon as a real subprocess (``python -m repro.cli
---zone-backend reference serve`` on a unix socket), then exercises the
-acceptance path of the service:
+--zone-backend reference --jobs 2 serve`` on a unix socket), then
+exercises the acceptance path of the service:
 
 1. ping until the server answers;
 2. submit a 6-scheme tiny portfolio — rows must be **bit-identical**
@@ -15,7 +15,9 @@ acceptance path of the service:
    must come back conforming, and a second request must reuse the
    server's precompiled monitor model;
 5. read ``stats`` — its ``engine`` block must report the one config
-   the daemon resolved at boot (``backend == "reference"``);
+   the daemon resolved at boot (``backend == "reference"``,
+   ``jobs == 2``) — the sharded reference-backend explorer running
+   under the daemon's dispatch threads;
 6. SIGTERM the daemon — it must drain and exit 0.
 
 Run from a checkout (``python scripts/service_smoke.py``) or CI; any
@@ -113,7 +115,8 @@ def main() -> int:
         address = os.path.join(tmp, "repro.sock")
         server = subprocess.Popen(
             [sys.executable, "-m", "repro.cli",
-             "--zone-backend", "reference", "serve", "--unix", address],
+             "--zone-backend", "reference", "--jobs", "2", "serve",
+             "--unix", address],
             env=env, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True)
         try:
@@ -161,9 +164,10 @@ def main() -> int:
         if not remonitored.ordered_rows()[0].get("conforming"):
             fail("re-monitored trace did not conform")
         engine = stats.get("engine") or {}
-        if engine.get("backend") != "reference":
-            fail(f"daemon does not report the --zone-backend it was "
-                 f"booted with: engine={engine}")
+        if engine.get("backend") != "reference" \
+                or engine.get("jobs") != 2:
+            fail(f"daemon does not report the --zone-backend/--jobs "
+                 f"it was booted with: engine={engine}")
         monitor_stats = stats.get("monitor") or {}
         if monitor_stats.get("models") != 1:
             fail(f"monitor model not cached across requests: "

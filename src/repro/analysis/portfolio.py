@@ -179,8 +179,7 @@ def render_portfolio(outcome: "PortfolioOutcome", *,
     lines.append(
         f"workers={outcome.jobs or 'sequential'} "
         f"executor={outcome.executor} "
-        f"concurrency={outcome.concurrency}"
-        f"{' fused' if outcome.fused else ''} "
+        f"concurrency={outcome.concurrency} "
         f"wall={outcome.wall_seconds:.2f}s")
     if outcome.reuse or outcome.pruned:
         lines.append(

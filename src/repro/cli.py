@@ -218,7 +218,6 @@ def _cmd_portfolio(args: argparse.Namespace) -> int:
             output_channel="c_StartInfusion",
             deadline_ms=args.deadline,
             measure_suprema=args.suprema,
-            fused=args.fused,
             reuse=args.reuse,
             prune_dominated=args.prune_dominated,
             on_result=partial.append)
@@ -541,10 +540,6 @@ def build_parser() -> argparse.ArgumentParser:
                              "tolerated k + Lemma-2 inflation per "
                              "base scheme) follows the portfolio "
                              "table")
-    p_port.add_argument("--fused", action="store_true",
-                        help="compile each scheme's deadline+suprema "
-                             "queries into one shared sweep (same "
-                             "verdicts; shared-sweep state tallies)")
     p_port.add_argument("--reuse", action=argparse.BooleanOptionalAction,
                         default=True,
                         help="answer schemes whose compiled model is "

@@ -18,6 +18,14 @@ the bookkeeping flags the transformation planted:
    MIO never moved past the accepting location between the enqueue and
    the read.
 
+Every flag is one :class:`~repro.mc.queries.SafetyQuery` of
+:func:`sweep_psm`, which answers the constraints, the step-5/6
+deadlines and the optional suprema from **one** exploration of the
+PSM (:func:`~repro.mc.queries.check_many`).  The observers it adds
+never touch the PSM's own variables, so flag reachability is that of
+the plain PSM; the state counts quoted in the details are those of
+the shared sweep.
+
 A fifth, implicit sanity check — the PSM composition neither deadlocks
 nor timelocks — is exposed as :func:`check_progress` because a stuck
 PSM would satisfy every safety property vacuously.
@@ -26,22 +34,43 @@ PSM would satisfy every safety property vacuously.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Sequence
 
 from repro.core.delays import detection_bound
 from repro.core.psm import PSM
 from repro.mc.deadlock import find_deadlocks
-from repro.mc.reachability import StateFormula, check_reachable
+from repro.mc.observers import BoundedResponseResult, DelayBound
+from repro.mc.queries import (
+    BoundedResponseQuery,
+    ResponseSupQuery,
+    SafetyQuery,
+    check_many,
+)
+from repro.mc.reachability import StateFormula
 
 __all__ = [
     "ConstraintResult",
     "ConstraintReport",
+    "PSMSweep",
     "check_constraint1",
     "check_constraint2",
     "check_constraint3",
     "check_constraint4",
     "check_progress",
     "check_all_constraints",
+    "sweep_psm",
 ]
+
+#: Section-V constraint names, in order (1–4).
+CONSTRAINTS = (
+    "Constraint 1 (detection of all input signals)",
+    "Constraint 2 (no input-buffer overflow)",
+    "Constraint 3 (no output-buffer overflow)",
+    "Constraint 4 (no internal-transition interference)",
+)
+
+#: Names of the three suprema :func:`sweep_psm` measures.
+SUPREMA = ("Input-Delay", "Output-Delay", "M-C delay")
 
 
 @dataclass
@@ -61,46 +90,122 @@ class ConstraintResult:
         return f"{self.constraint}: {status} — {self.detail}"
 
 
-def _flags_reachable(psm: PSM, flags: list[str], what: str, *,
-                     max_states: int,
-                     jobs: int | None = None,
-                     abstraction: str | None = None) -> ConstraintResult:
-    """Shared machinery: is any of the given flags settable?"""
-    flags = [f for f in flags if f]
-    if not flags:
-        return ConstraintResult(
-            constraint=what, holds=True,
-            detail="no applicable flags (mechanism not used)")
-    condition = " || ".join(f"{flag} == 1" for flag in flags)
-    reach = check_reachable(psm.network, StateFormula(data=condition),
-                            max_states=max_states, jobs=jobs,
-                            abstraction=abstraction)
-    if reach.reachable:
-        return ConstraintResult(
-            constraint=what, holds=False,
-            detail=f"reachable: {condition} (witness: {reach.witness})",
-            counterexample=reach.trace)
-    return ConstraintResult(
-        constraint=what, holds=True,
-        detail=f"A[] !({condition}) verified "
-               f"({reach.visited} states)")
+@dataclass
+class PSMSweep:
+    """Everything one joint exploration of a PSM established."""
+
+    #: One result per requested constraint, in Section-V order.
+    constraints: list[ConstraintResult] = field(default_factory=list)
+    #: One bounded-response verdict per requested deadline.
+    responses: list[BoundedResponseResult] = field(default_factory=list)
+    #: The three suprema (keyed by :data:`SUPREMA`) when measured.
+    suprema: dict[str, DelayBound] = field(default_factory=dict)
+    #: ``track_maxima`` results (``None`` when nothing was tracked).
+    maxima: dict | None = None
+    #: Whether the sweep covered the full reachable state space.
+    complete: bool = False
 
 
-def check_constraint1(psm: PSM, *,
-                      min_interarrival_ms: int | None = None,
-                      max_states: int = 1_000_000) -> ConstraintResult:
-    """Constraint 1: every environmental input signal is detected."""
-    result = _flags_reachable(
-        psm, psm.miss_flags(),
-        "Constraint 1 (detection of all input signals)",
-        max_states=max_states)
-    if not result.holds or min_interarrival_ms is None:
-        return result
-    # Analytic half: processing faster than the inter-arrival time.
-    slow = []
-    for channel in psm.pim.input_channels():
-        if detection_bound(psm.scheme, channel) >= min_interarrival_ms:
-            slow.append(channel)
+def _constraint_flags(psm: PSM) -> list[list[str]]:
+    """Each constraint's bookkeeping flags, in Section-V order."""
+    return [
+        psm.miss_flags(),
+        [v.overflow for v in psm.input_vars.values()],
+        [v.overflow for v in psm.output_vars.values()],
+        [psm.code_drop_flag],
+    ]
+
+
+def sweep_psm(psm: PSM, *,
+              constraints: Sequence[int] = (1, 2, 3, 4),
+              min_interarrival_ms: int | None = None,
+              input_channel: str | None = None,
+              output_channel: str | None = None,
+              deadlines: Sequence[int] = (),
+              measure_suprema: bool = False,
+              track_maxima: "Sequence[str | tuple[str, ...]]" = (),
+              max_states: int = 1_000_000,
+              jobs: int | None = None,
+              zone_backend: str | None = None,
+              abstraction: str | None = None) -> PSMSweep:
+    """Constraints, deadlines and suprema of one PSM in one sweep.
+
+    ``constraints`` picks Constraints 1–4 by number; each of their
+    flags becomes one safety query, so a violated constraint names
+    every reachable flag and carries the first one's witness and
+    trace.  ``deadlines`` adds one ``input_channel ⤳≤Δ
+    output_channel`` query each (steps 5/6); ``measure_suprema`` adds
+    the input, output and end-to-end response suprema.
+    ``track_maxima`` passes through to
+    :func:`~repro.mc.queries.check_many`.  No query, no exploration.
+    """
+    groups = [(CONSTRAINTS[number - 1],
+               [flag for flag in _constraint_flags(psm)[number - 1]
+                if flag])
+              for number in constraints]
+    flags = list(dict.fromkeys(
+        flag for _, group in groups for flag in group))
+    queries: list[object] = [
+        SafetyQuery(StateFormula(data=f"{flag} == 1")) for flag in flags]
+    queries += [BoundedResponseQuery(input_channel, output_channel,
+                                     deadline)
+                for deadline in deadlines]
+    if measure_suprema:
+        queries += [
+            ResponseSupQuery(input_channel, psm.io_name(input_channel)),
+            ResponseSupQuery(psm.io_name(output_channel),
+                             output_channel),
+            ResponseSupQuery(input_channel, output_channel),
+        ]
+    sweep = PSMSweep()
+    results: tuple = ()
+    visited = 0
+    if queries:
+        outcome = check_many(
+            psm.network, queries, max_states=max_states, jobs=jobs,
+            zone_backend=zone_backend, abstraction=abstraction,
+            track_maxima=track_maxima)
+        results, visited = outcome.results, outcome.visited
+        sweep.maxima = outcome.maxima
+        sweep.complete = outcome.complete
+    flag_results = dict(zip(flags, results))
+    for name, group in groups:
+        hit = [flag for flag in group if not flag_results[flag].holds]
+        if not group:
+            result = ConstraintResult(
+                constraint=name, holds=True,
+                detail="no applicable flags (mechanism not used)")
+        elif hit:
+            first = flag_results[hit[0]]
+            result = ConstraintResult(
+                constraint=name, holds=False,
+                detail=f"flag(s) {hit} reachable "
+                       f"(e.g. {first.counterexample})",
+                counterexample=first.trace)
+        else:
+            result = ConstraintResult(
+                constraint=name, holds=True,
+                detail=f"flags {group} unreachable "
+                       f"({visited} states)")
+        if (name == CONSTRAINTS[0] and result.holds
+                and min_interarrival_ms is not None):
+            result = _interarrival_check(psm, result,
+                                         min_interarrival_ms)
+        sweep.constraints.append(result)
+    rest = list(results[len(flags):])
+    sweep.responses = rest[:len(deadlines)]
+    if measure_suprema:
+        sweep.suprema = dict(zip(SUPREMA, rest[len(deadlines):]))
+    return sweep
+
+
+def _interarrival_check(psm: PSM, result: ConstraintResult,
+                        min_interarrival_ms: int) -> ConstraintResult:
+    """Constraint 1's analytic half: processing faster than the
+    inter-arrival time."""
+    slow = [channel for channel in psm.pim.input_channels()
+            if detection_bound(psm.scheme, channel)
+            >= min_interarrival_ms]
     if slow:
         return ConstraintResult(
             constraint=result.constraint, holds=False,
@@ -111,31 +216,32 @@ def check_constraint1(psm: PSM, *,
         detail=result.detail + "; processing beats inter-arrival time")
 
 
-def check_constraint2(psm: PSM, *,
-                      max_states: int = 1_000_000) -> ConstraintResult:
+def check_constraint1(psm: PSM, *,
+                      min_interarrival_ms: int | None = None,
+                      **engine) -> ConstraintResult:
+    """Constraint 1: every environmental input signal is detected.
+
+    ``engine`` (``max_states``, ``jobs``, ``zone_backend``,
+    ``abstraction``) passes through to :func:`sweep_psm`, as for
+    Constraints 2–4."""
+    return sweep_psm(psm, constraints=(1,),
+                     min_interarrival_ms=min_interarrival_ms,
+                     **engine).constraints[0]
+
+
+def check_constraint2(psm: PSM, **engine) -> ConstraintResult:
     """Constraint 2: the input buffers never overflow."""
-    flags = [vars_.overflow for vars_ in psm.input_vars.values()]
-    return _flags_reachable(
-        psm, flags, "Constraint 2 (no input-buffer overflow)",
-        max_states=max_states)
+    return sweep_psm(psm, constraints=(2,), **engine).constraints[0]
 
 
-def check_constraint3(psm: PSM, *,
-                      max_states: int = 1_000_000) -> ConstraintResult:
+def check_constraint3(psm: PSM, **engine) -> ConstraintResult:
     """Constraint 3: the output buffers never overflow."""
-    flags = [vars_.overflow for vars_ in psm.output_vars.values()]
-    return _flags_reachable(
-        psm, flags, "Constraint 3 (no output-buffer overflow)",
-        max_states=max_states)
+    return sweep_psm(psm, constraints=(3,), **engine).constraints[0]
 
 
-def check_constraint4(psm: PSM, *,
-                      max_states: int = 1_000_000) -> ConstraintResult:
+def check_constraint4(psm: PSM, **engine) -> ConstraintResult:
     """Constraint 4: the code never drops a pending input."""
-    return _flags_reachable(
-        psm, [psm.code_drop_flag],
-        "Constraint 4 (no internal-transition interference)",
-        max_states=max_states)
+    return sweep_psm(psm, constraints=(4,), **engine).constraints[0]
 
 
 def check_progress(psm: PSM, *,
@@ -176,7 +282,6 @@ class ConstraintReport:
 def check_all_constraints(psm: PSM, *,
                           min_interarrival_ms: int | None = None,
                           include_progress: bool = False,
-                          single_pass: bool = True,
                           max_states: int = 1_000_000,
                           jobs: int | None = None,
                           zone_backend: str | None = None,
@@ -184,98 +289,16 @@ def check_all_constraints(psm: PSM, *,
                           ) -> ConstraintReport:
     """Run Constraints 1–4 (plus the optional progress sanity check).
 
-    With ``single_pass`` (the default) one full exploration evaluates
-    all four flag sets at once — the flags are monotone, so "ever set
-    in a reachable state" is exactly reachability.  Set it to False to
-    get per-constraint counterexample traces instead.
+    One exploration decides all four flag sets at once — the flags
+    are monotone, so "ever set in a reachable state" is exactly
+    reachability.
     """
     report = ConstraintReport()
     if include_progress:
         report.results.append(check_progress(
             psm, max_states=max_states, zone_backend=zone_backend))
-    if not single_pass:
-        report.results.append(check_constraint1(
-            psm, min_interarrival_ms=min_interarrival_ms,
-            max_states=max_states))
-        report.results.append(check_constraint2(psm,
-                                                max_states=max_states))
-        report.results.append(check_constraint3(psm,
-                                                max_states=max_states))
-        report.results.append(check_constraint4(psm,
-                                                max_states=max_states))
-        return report
-    report.results.extend(_single_pass_constraints(
+    report.results.extend(sweep_psm(
         psm, min_interarrival_ms=min_interarrival_ms,
         max_states=max_states, jobs=jobs, zone_backend=zone_backend,
-        abstraction=abstraction))
+        abstraction=abstraction).constraints)
     return report
-
-
-def _single_pass_constraints(psm: PSM, *,
-                             min_interarrival_ms: int | None,
-                             max_states: int,
-                             jobs: int | None = None,
-                             zone_backend: str | None = None,
-                             abstraction: str | None = None,
-                             ) -> list[ConstraintResult]:
-    """One exploration deciding Constraints 1–4 together."""
-    from repro.mc.parallel import make_explorer
-
-    groups: dict[str, list[str]] = {
-        "Constraint 1 (detection of all input signals)":
-            psm.miss_flags(),
-        "Constraint 2 (no input-buffer overflow)":
-            [v.overflow for v in psm.input_vars.values()],
-        "Constraint 3 (no output-buffer overflow)":
-            [v.overflow for v in psm.output_vars.values()],
-        "Constraint 4 (no internal-transition interference)":
-            [psm.code_drop_flag],
-    }
-    explorer = make_explorer(psm.network, jobs=jobs,
-                             max_states=max_states,
-                             zone_backend=zone_backend,
-                             abstraction=abstraction)
-    compiled = explorer.compiled
-    positions = {
-        flag: compiled.var_pos(flag)
-        for flags in groups.values() for flag in flags if flag
-    }
-    witnesses: dict[str, str] = {}
-
-    def visit(state) -> None:
-        for flag, pos in positions.items():
-            if flag not in witnesses and state.vals[pos] == 1:
-                witnesses[flag] = compiled.state_description(state)
-
-    result = explorer.explore(visit=visit)
-
-    out: list[ConstraintResult] = []
-    for constraint, flags in groups.items():
-        flags = [f for f in flags if f]
-        if not flags:
-            out.append(ConstraintResult(
-                constraint=constraint, holds=True,
-                detail="no applicable flags (mechanism not used)"))
-            continue
-        hit = [f for f in flags if f in witnesses]
-        if hit:
-            out.append(ConstraintResult(
-                constraint=constraint, holds=False,
-                detail=f"flag(s) {hit} reachable "
-                       f"(e.g. {witnesses[hit[0]]})"))
-        else:
-            out.append(ConstraintResult(
-                constraint=constraint, holds=True,
-                detail=f"flags {flags} unreachable "
-                       f"({result.visited} states)"))
-    # Constraint 1's analytic half.
-    if min_interarrival_ms is not None and out[0].holds:
-        slow = [ch for ch in psm.pim.input_channels()
-                if detection_bound(psm.scheme, ch)
-                >= min_interarrival_ms]
-        if slow:
-            out[0] = ConstraintResult(
-                constraint=out[0].constraint, holds=False,
-                detail=f"device(s) {slow} slower than the minimum "
-                       f"inter-arrival time {min_interarrival_ms}ms")
-    return out

@@ -13,6 +13,12 @@ way Section VI does:
 6. also check whether the *original* deadline survives on the PSM
    (in the case study it does not: ``PSM ⊭ P(500)``).
 
+Steps 3, 5 and 6 — plus the optional exact suprema — ask about the
+same PSM, so :meth:`TimingVerificationFramework.check_psm` answers
+them from **one** zone-graph sweep
+(:func:`repro.core.constraints.sweep_psm`); step 4 runs first because
+step 5's deadline is its result.
+
 The resulting :class:`VerificationReport` carries every verified
 number Table I's upper row needs.
 
@@ -28,7 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from repro.core.constraints import ConstraintReport, check_all_constraints
+from repro.core.constraints import (
+    ConstraintReport,
+    PSMSweep,
+    check_all_constraints,
+    check_progress,
+    sweep_psm,
+)
 from repro.core.delays import (
     DelayBounds,
     bounds_from_internal,
@@ -159,7 +171,10 @@ class TimingVerificationFramework:
                           min_interarrival_ms: int | None = None,
                           include_progress: bool = False
                           ) -> ConstraintReport:
-        """Step 3: the four boundedness constraints (Section V)."""
+        """Step 3 alone: the four boundedness constraints (Section V).
+
+        :meth:`verify` asks them inside :meth:`check_psm` instead.
+        """
         return check_all_constraints(
             psm, min_interarrival_ms=min_interarrival_ms,
             include_progress=include_progress,
@@ -178,30 +193,15 @@ class TimingVerificationFramework:
         return bounds_from_internal(scheme, input_channel,
                                     output_channel, internal)
 
-    def verify_psm(self, psm: PSM, input_channel: str,
-                   output_channel: str,
-                   deadline_ms: int) -> BoundedResponseResult:
-        """Steps 5/6: ``PSM ⊨ P(Δ)`` for any deadline."""
-        return check_bounded_response(
-            psm.network, input_channel, output_channel, deadline_ms,
-            max_states=self.max_states, jobs=self.jobs,
-            zone_backend=self.backend, abstraction=self.abstraction)
-
     def verify_psm_deadlines(self, psm: PSM, input_channel: str,
                              output_channel: str,
                              deadlines_ms: list[int],
                              ) -> list[BoundedResponseResult]:
-        """Steps 5+6 fused: every deadline from one shared sweep."""
-        from repro.mc.queries import BoundedResponseQuery, check_many
-
-        outcome = check_many(
-            psm.network,
-            [BoundedResponseQuery(input_channel, output_channel,
-                                  deadline)
-             for deadline in deadlines_ms],
-            max_states=self.max_states, jobs=self.jobs,
-            zone_backend=self.backend, abstraction=self.abstraction)
-        return list(outcome.results)
+        """Steps 5+6 alone: every deadline from one shared sweep."""
+        return self._sweep(psm, constraints=(),
+                           input_channel=input_channel,
+                           output_channel=output_channel,
+                           deadlines=deadlines_ms).responses
 
     def measure_psm(self, psm: PSM, input_channel: str,
                     output_channel: str) -> dict[str, DelayBound]:
@@ -211,23 +211,47 @@ class TimingVerificationFramework:
         are identical to the individual :func:`max_response_delay`
         runs in :mod:`repro.core.delays`.
         """
-        from repro.mc.queries import ResponseSupQuery, check_many
+        return self._sweep(psm, constraints=(),
+                           input_channel=input_channel,
+                           output_channel=output_channel,
+                           measure_suprema=True).suprema
 
-        outcome = check_many(
-            psm.network,
-            [ResponseSupQuery(input_channel,
-                              psm.io_name(input_channel)),
-             ResponseSupQuery(psm.io_name(output_channel),
-                              output_channel),
-             ResponseSupQuery(input_channel, output_channel)],
-            trace=False, max_states=self.max_states, jobs=self.jobs,
-            zone_backend=self.backend, abstraction=self.abstraction)
-        input_sup, output_sup, mc_sup = outcome.results
-        return {
-            "Input-Delay": input_sup,
-            "Output-Delay": output_sup,
-            "M-C delay": mc_sup,
-        }
+    def check_psm(self, report: VerificationReport, psm: PSM, *,
+                  min_interarrival_ms: int | None = None,
+                  measure_suprema: bool = False,
+                  include_progress: bool = False,
+                  track_maxima: "Sequence[str | tuple[str, ...]]" = (),
+                  ) -> PSMSweep:
+        """Steps 3, 5 and 6 (+ optional suprema) in one PSM sweep.
+
+        Fills ``report``'s constraints, both deadline verdicts
+        (``report.deadline_ms`` and the relaxed bound, so step 4 must
+        have run) and, with ``measure_suprema``, its suprema.  The
+        progress sanity check stays a separate deadlock search.
+        Returns the sweep, whose ``maxima``/``complete`` answer
+        ``track_maxima``.
+        """
+        sweep = self._sweep(
+            psm, min_interarrival_ms=min_interarrival_ms,
+            input_channel=report.input_channel,
+            output_channel=report.output_channel,
+            deadlines=[report.deadline_ms, report.bounds.relaxed],
+            measure_suprema=measure_suprema, track_maxima=track_maxima)
+        progress = ([check_progress(psm, max_states=self.max_states,
+                                    zone_backend=self.backend)]
+                    if include_progress else [])
+        report.constraints = ConstraintReport(progress
+                                              + sweep.constraints)
+        report.psm_original_result, report.psm_relaxed_result = \
+            sweep.responses
+        if measure_suprema:
+            report.symbolic = sweep.suprema
+        return sweep
+
+    def _sweep(self, psm: PSM, **queries) -> PSMSweep:
+        return sweep_psm(psm, max_states=self.max_states,
+                         jobs=self.jobs, zone_backend=self.backend,
+                         abstraction=self.abstraction, **queries)
 
     # ------------------------------------------------------------------
     def verify(self, pim: PIM, scheme: ImplementationScheme, *,
@@ -244,20 +268,12 @@ class TimingVerificationFramework:
             pim, input_channel, output_channel, deadline_ms)
         psm = self.transform(pim, scheme)
         report.psm = psm
-        report.constraints = self.check_constraints(
-            psm, min_interarrival_ms=min_interarrival_ms,
-            include_progress=include_progress)
         report.bounds = self.derive_bounds(
             pim, scheme, input_channel, output_channel)
-        # Steps 5 and 6 ask about the same (m, c) pair — one shared
-        # sweep answers both deadlines.
-        report.psm_original_result, report.psm_relaxed_result = \
-            self.verify_psm_deadlines(
-                psm, input_channel, output_channel,
-                [deadline_ms, report.bounds.relaxed])
-        if measure_suprema:
-            report.symbolic = self.measure_psm(
-                psm, input_channel, output_channel)
+        self.check_psm(report, psm,
+                       min_interarrival_ms=min_interarrival_ms,
+                       measure_suprema=measure_suprema,
+                       include_progress=include_progress)
         return report
 
     # ------------------------------------------------------------------
@@ -269,7 +285,6 @@ class TimingVerificationFramework:
                          measure_suprema: bool = False,
                          include_progress: bool = False,
                          concurrency: int | None = None,
-                         fused: bool = False,
                          executor: str | None = None,
                          reuse: bool = False,
                          prune_dominated: bool = False,
@@ -309,7 +324,7 @@ class TimingVerificationFramework:
 
         verifier = PortfolioVerifier(
             jobs=self.jobs, executor=executor, concurrency=concurrency,
-            max_states=self.max_states, fused=fused,
+            max_states=self.max_states,
             backend=self.backend, abstraction=self.abstraction,
             reuse=reuse,
             prune_dominated=prune_dominated, warm_start=warm_start)

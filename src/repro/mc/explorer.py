@@ -108,9 +108,6 @@ class ExplorationResult:
         return self.stopped is not None
 
 
-_NodeId = tuple[tuple[tuple[int, ...], tuple[int, ...]], tuple[int, ...]]
-
-
 class _MovePlan:
     """One discrete move, fully resolved for a discrete configuration.
 
@@ -236,9 +233,12 @@ class ZoneGraphExplorer:
                 (self.compiled.var_pos(flag),
                  self.compiled.clock_id_by_name(clock)))
         #: Parent links of the most recent traced exploration
-        #: (``{node_id: (parent_id | None, label)}``); lets the query
+        #: (``{state: (parent state | None, label)}``, keyed by the
+        #: stored state objects themselves — a zone snapshot per key
+        #: would cost a Python int per matrix entry); lets the query
         #: planner rebuild one trace per observer after a shared sweep.
-        self.parents: dict[_NodeId, tuple[_NodeId | None, str]] = {}
+        self.parents: dict[SymbolicState,
+                           tuple[SymbolicState | None, str]] = {}
         #: Per-key passed buckets of the most recent exploration
         #: (diagnostics/benchmarks only).
         self.passed_store: dict | None = None
@@ -445,8 +445,7 @@ class ZoneGraphExplorer:
         self.passed_store = passed
         parents = self.parents = {}
         if trace_on:
-            init_id = (init.key(), init.zone.frozen())
-            parents[init_id] = (None, "<init>")
+            parents[init] = (None, "<init>")
         stored = 1
         transitions = 0
         if visit is not None:
@@ -454,9 +453,7 @@ class ZoneGraphExplorer:
         if stop is not None and stop(init):
             return ExplorationResult(
                 visited=stored, stopped=init,
-                trace=self._rebuild(
-                    parents,
-                    (init.key(), init.zone.frozen())),
+                trace=self._rebuild(parents, init),
                 complete=False, transitions=transitions)
         waiting: deque[_WaitEntry] = deque([init_entry])
         while waiting:
@@ -464,8 +461,6 @@ class ZoneGraphExplorer:
             if lazy and not entry.alive:
                 continue
             state = entry.state
-            state_id = ((state.key(), state.zone.frozen())
-                        if trace_on else None)
             for succ, label in self.successors(state):
                 transitions += 1
                 key = succ.key()
@@ -484,35 +479,34 @@ class ZoneGraphExplorer:
                         f"exceeded {self.max_states} symbolic states "
                         f"exploring {self.network.name!r}")
                 if trace_on:
-                    parents[(key, succ.zone.frozen())] = (state_id, label)
+                    parents[succ] = (state, label)
                 if visit is not None:
                     visit(succ)
                 if stop is not None and stop(succ):
                     return ExplorationResult(
                         visited=stored, stopped=succ,
-                        trace=self._rebuild(
-                            parents, (key, succ.zone.frozen())),
+                        trace=self._rebuild(parents, succ),
                         complete=False, transitions=transitions)
                 waiting.append(succ_entry)
         return ExplorationResult(visited=stored, complete=True,
                                  transitions=transitions)
 
-    def rebuild_trace(self, node_id: _NodeId) -> list[str] | None:
-        """Trace to ``node_id`` from the most recent traced exploration.
+    def rebuild_trace(self, state: SymbolicState) -> list[str] | None:
+        """Trace to ``state`` from the most recent traced exploration.
 
-        ``node_id`` is ``(state.key(), state.zone.frozen())`` of a
-        state stored during the last :meth:`explore` call with tracing
-        on; used by the query planner to extract one witness trace per
-        observer from a single shared sweep.
+        ``state`` is a state object stored (and passed to ``visit``)
+        during the last :meth:`explore` call; used by the query planner
+        to extract one witness trace per observer from a single shared
+        sweep.  ``None`` when tracing is off.
         """
-        return self._rebuild(self.parents, node_id)
+        return self._rebuild(self.parents, state)
 
-    def _rebuild(self, parents: dict, node_id: _NodeId) \
+    def _rebuild(self, parents: dict, state: SymbolicState) \
             -> list[str] | None:
         if not self.trace_enabled:
             return None
         labels: list[str] = []
-        current: _NodeId | None = node_id
+        current: SymbolicState | None = state
         while current is not None:
             parent, label = parents[current]
             labels.append(label)

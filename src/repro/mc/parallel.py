@@ -10,10 +10,10 @@ restructures each BFS wave into three phases:
    expands a whole group through the batched broadcast pipeline
    (:class:`repro.zones.batch.BatchExpander`) instead of state by
    state; the reference backend expands scalarly.  Groups are
-   distributed over a worker pool — threads with work-stealing deques
-   (numpy kernels release the GIL while a batch is in C code) or a
-   ``multiprocessing`` pool for the pure-Python reference backend,
-   whose expansion never leaves the interpreter.  A
+   distributed over a thread pool with work-stealing deques (numpy
+   and native kernels release the GIL while a batch is in C code; the
+   pure-Python reference backend's expansion never leaves the
+   interpreter, so its threads buy no speedup).  A
    termination-detection barrier ends the phase when every group of
    the wave has been expanded.
 2. **Commit** — candidate successors are merged into the per-key
@@ -43,8 +43,7 @@ Stored zones are routed through the global zone intern table
 (:mod:`repro.zones.intern`), so identical zones recurring across
 discrete configurations — and across the queries of a
 :func:`repro.mc.queries.check_many` batch — share one matrix and one
-``frozen()`` snapshot, and the cross-process merge only materializes
-snapshots it has never seen.
+``frozen()`` snapshot.
 """
 
 from __future__ import annotations
@@ -71,7 +70,6 @@ from repro.zones.intern import ZoneInternTable, global_intern_table
 __all__ = [
     "ENV_JOBS",
     "EngineConfig",
-    "ExplorerSpec",
     "ShardedZoneGraphExplorer",
     "WorkStealingPool",
     "current_exploration_context",
@@ -99,13 +97,12 @@ def resolve_jobs(jobs: int | None = None) -> int | None:
 
 
 def make_explorer(network: Network, *, jobs: int | None = None,
-                  parallel_mode: str = "auto", **kwargs):
+                  **kwargs):
     """Explorer factory honoring the resolved ``jobs`` setting."""
     resolved = resolve_jobs(jobs)
     if resolved is None:
         return ZoneGraphExplorer(network, **kwargs)
-    return ShardedZoneGraphExplorer(network, jobs=resolved,
-                                    mode=parallel_mode, **kwargs)
+    return ShardedZoneGraphExplorer(network, jobs=resolved, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -341,112 +338,6 @@ class EngineConfig:
             executor=resolve_executor(executor))
 
 
-@dataclass(frozen=True)
-class ExplorerSpec:
-    """Picklable recipe rebuilding one exploration's sequential
-    explorer in a fresh process.
-
-    Ships the *model* (the :class:`Network`) plus every knob the
-    coordinator's compiled network carries — never the live
-    ``CompiledNetwork``/DBM objects, which hold backend workspaces and
-    interned zones a foreign process cannot share.  The worker
-    compiles its own network and replays the protected clocks and the
-    query-formula LU floors so extrapolation matches bit for bit
-    (``raise_lu_floor`` max-merges, so the replay is idempotent).
-    """
-
-    network: Network
-    backend: str
-    extra_max_constants: tuple[tuple[str, int], ...]
-    free_clock_when_zero: tuple[tuple[str, str], ...]
-    max_states: int
-    abstraction: str
-    protected_clocks: tuple[str, ...] = ()
-    lu_lower_floors: tuple[tuple[int, int], ...] = ()
-    lu_upper_floors: tuple[tuple[int, int], ...] = ()
-
-    @classmethod
-    def of(cls, explorer: ZoneGraphExplorer, *,
-           extra_max_constants: Mapping[str, int] | None,
-           free_clock_when_zero: Mapping[str, str] | None,
-           ) -> "ExplorerSpec":
-        """Snapshot a coordinator explorer's rebuild recipe."""
-        compiled = explorer.compiled
-        return cls(
-            network=explorer.network,
-            backend=explorer.backend.name,
-            extra_max_constants=tuple(sorted(
-                (extra_max_constants or {}).items())),
-            free_clock_when_zero=tuple(sorted(
-                (free_clock_when_zero or {}).items())),
-            max_states=explorer.max_states,
-            abstraction=explorer.abstraction.name,
-            protected_clocks=tuple(sorted(compiled.protected_clocks)),
-            lu_lower_floors=tuple(sorted(
-                compiled.lu_lower_floors.items())),
-            lu_upper_floors=tuple(sorted(
-                compiled.lu_upper_floors.items())))
-
-    def build(self) -> ZoneGraphExplorer:
-        """Compile this worker process's private explorer."""
-        explorer = ZoneGraphExplorer(
-            self.network,
-            extra_max_constants=dict(self.extra_max_constants),
-            max_states=self.max_states,
-            free_clock_when_zero=dict(self.free_clock_when_zero),
-            zone_backend=self.backend,
-            abstraction=self.abstraction)
-        if self.protected_clocks:
-            explorer.compiled.protect_clocks(
-                list(self.protected_clocks))
-        for clock_idx, value in self.lu_lower_floors:
-            explorer.compiled.raise_lu_floor(clock_idx, value,
-                                             upper=False)
-        for clock_idx, value in self.lu_upper_floors:
-            explorer.compiled.raise_lu_floor(clock_idx, value,
-                                             lower=False)
-        return explorer
-
-
-# ----------------------------------------------------------------------
-# Multiprocessing fallback (reference backend)
-# ----------------------------------------------------------------------
-_PROC_EXPLORER: ZoneGraphExplorer | None = None
-
-
-def _proc_init(spec: ExplorerSpec) -> None:
-    """Build this worker process's private explorer."""
-    global _PROC_EXPLORER
-    _PROC_EXPLORER = spec.build()
-
-
-def _proc_expand(chunk):
-    """Expand a chunk of ``(pos, locs, vals, snapshot)`` states.
-
-    Returns ``(pos, items)`` pairs where each item is either a
-    successor tuple ``(locs, vals, snapshot, label)`` or the deferred
-    :class:`ModelError` raised at that point of the plan sequence.
-    """
-    explorer = _PROC_EXPLORER
-    dbm_cls = explorer._dbm
-    n = explorer.compiled.n_clocks
-    out = []
-    for pos, locs, vals, snapshot in chunk:
-        zone = dbm_cls.from_frozen(n, snapshot)
-        zone._empty = False
-        zone._frozen = snapshot
-        state = SymbolicState(locs, vals, zone)
-        items: list = []
-        try:
-            for succ, label in explorer.successors(state):
-                items.append((succ.locs, succ.vals, succ.zone.frozen(),
-                              label))
-        except ModelError as exc:
-            items.append(exc)
-        out.append((pos, items))
-    return out
-
-
 # ----------------------------------------------------------------------
 # Wave bookkeeping
 # ----------------------------------------------------------------------
@@ -461,7 +352,7 @@ class _Cand:
         self.locs = locs
         self.vals = vals
         self.label = label
-        self.zone = zone   # materialized DBM (scalar / process paths)
+        self.zone = zone   # materialized DBM (scalar path)
         self.row = row     # (n, n) int64 view (batched numpy path)
         self.src = src
         self.entry = _WaitEntry()
@@ -488,29 +379,19 @@ class ShardedZoneGraphExplorer:
         Worker count (>= 1).  ``jobs=1`` runs the wave pipeline inline
         — still worthwhile on the numpy backend, whose groups expand
         through the batched kernels.
-    mode:
-        ``"thread"``, ``"process"`` or ``"auto"`` (threads for the
-        batched numpy/native backends, processes for the reference
-        backend).  Thread
-        workers share the compiled network and plan cache; process
-        workers rebuild them once per worker and exchange ``frozen()``
-        zone snapshots.
     intern:
         Zone interning policy: ``True`` (the global table), ``False``
         (no interning) or a private :class:`ZoneInternTable`.
     pool:
         An external :class:`WorkStealingPool` to run expansion waves
         on instead of a private per-exploration pool.  Shared pools
-        are never shut down by :meth:`explore` and force thread mode
-        (a cross-job process pool cannot share compiled networks).
-        When omitted, the thread-local :func:`exploration_context`
+        are never shut down by :meth:`explore`.  When omitted, the thread-local :func:`exploration_context`
         supplies the default — that is how portfolio jobs all land on
         one pool.
     """
 
     def __init__(self, network: Network, *,
                  jobs: int = 1,
-                 mode: str = "auto",
                  extra_max_constants: Mapping[str, int] | None = None,
                  trace: bool = False,
                  max_states: int = 1_000_000,
@@ -522,8 +403,6 @@ class ShardedZoneGraphExplorer:
                  pool: WorkStealingPool | None = None):
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs}")
-        if mode not in ("auto", "thread", "process"):
-            raise ValueError(f"unknown parallel mode {mode!r}")
         context = current_exploration_context()
         if context is not None:
             if pool is None:
@@ -562,14 +441,9 @@ class ShardedZoneGraphExplorer:
         self.jobs = jobs
         self.shared_pool = pool
         if pool is not None:
-            # External pools are thread pools; its width caps useful
-            # parallelism regardless of the requested job count.
-            self.mode = "thread"
+            # An external pool's width caps useful parallelism
+            # regardless of the requested job count.
             self.jobs = max(jobs, 2) if pool.width > 1 else 1
-        else:
-            self.mode = mode if mode != "auto" else (
-                "thread" if self.backend.name in ("numpy", "native")
-                else "process")
         self.trace_enabled = trace
         self.max_states = max_states
         self.lazy_subsumption = lazy_subsumption
@@ -581,11 +455,6 @@ class ShardedZoneGraphExplorer:
             self.intern_table = None
         else:
             self.intern_table = intern
-        # Captured for process-worker initialization (floors are
-        # snapshotted at pool-creation time — query compilation can
-        # raise them after construction).
-        self._worker_maps = (dict(extra_max_constants or {}),
-                             dict(free_clock_when_zero or {}))
         self.parents: dict = {}
         #: Per-key passed buckets of the most recent exploration
         #: (diagnostics/benchmarks only).
@@ -622,8 +491,8 @@ class ShardedZoneGraphExplorer:
     def successors(self, state: SymbolicState):
         return self.core.successors(state)
 
-    def rebuild_trace(self, node_id) -> list[str] | None:
-        return self.core._rebuild(self.parents, node_id)
+    def rebuild_trace(self, state: SymbolicState) -> list[str] | None:
+        return self.core._rebuild(self.parents, state)
 
     def iter_states(self) -> Iterator[SymbolicState]:
         """Materialize every reachable symbolic state (full search)."""
@@ -656,7 +525,7 @@ class ShardedZoneGraphExplorer:
                     None, work[b], sources[b]))
 
     def _expand_group_scalar(self, key, members, slots):
-        """Scalar expansion (reference backend / forced thread mode)."""
+        """Scalar expansion (reference backend)."""
         for pos, state in members:
             out = slots[pos]
             try:
@@ -665,35 +534,6 @@ class ShardedZoneGraphExplorer:
                                      label, succ.zone, None, state))
             except ModelError as exc:
                 out.append(_Err(exc, None, state))
-
-    def _expand_wave_processes(self, pool, active, slots):
-        """Ship the wave to the process pool as frozen snapshots."""
-        jobs = self.jobs
-        payload = [(pos, state.locs, state.vals, state.zone.frozen())
-                   for pos, state in enumerate(active)]
-        chunk = max(1, (len(payload) + jobs - 1) // jobs)
-        chunks = [payload[i:i + chunk]
-                  for i in range(0, len(payload), chunk)]
-        dbm_cls = self.core._dbm
-        n = self.compiled.n_clocks
-        table = self.intern_table
-        for result in pool.imap(_proc_expand, chunks):
-            for pos, items in result:
-                src = active[pos]
-                out = slots[pos]
-                for item in items:
-                    if isinstance(item, ModelError):
-                        out.append(_Err(item, None, src))
-                        continue
-                    locs, vals, snapshot, label = item
-                    if table is not None:
-                        zone = table.intern_frozen(dbm_cls, n, snapshot)
-                    else:
-                        zone = dbm_cls.from_frozen(n, snapshot)
-                        zone._empty = False
-                        zone._frozen = snapshot
-                    out.append(_Cand((locs, vals), locs, vals, label,
-                                     zone, None, src))
 
     # -- the wave loop ---------------------------------------------------
     def explore(
@@ -732,7 +572,7 @@ class ShardedZoneGraphExplorer:
         self.passed_store = passed
         parents = self.parents = {}
         if trace_on:
-            parents[(init.key(), init.zone.frozen())] = (None, "<init>")
+            parents[init] = (None, "<init>")
         stored = 1
         transitions = 0
         if visit is not None:
@@ -740,34 +580,18 @@ class ShardedZoneGraphExplorer:
         if stop is not None and stop(init):
             return ExplorationResult(
                 visited=stored, stopped=init,
-                trace=self.rebuild_trace(
-                    (init.key(), init.zone.frozen())),
+                trace=self.rebuild_trace(init),
                 complete=False, transitions=transitions)
 
-        use_threads = self.jobs > 1 and self.mode == "thread"
-        use_processes = self.jobs > 1 and self.mode == "process"
-        pool = proc_pool = None
+        pool = None
         own_pool = False
         try:
-            if use_threads:
+            if self.jobs > 1:
                 if self.shared_pool is not None:
                     pool = self.shared_pool
                 else:
                     pool = WorkStealingPool(self.jobs)
                     own_pool = True
-            elif use_processes:
-                import multiprocessing
-
-                try:
-                    ctx = multiprocessing.get_context("fork")
-                except ValueError:  # pragma: no cover - non-POSIX
-                    ctx = multiprocessing.get_context()
-                extra_max, free_map = self._worker_maps
-                spec = ExplorerSpec.of(
-                    self.core, extra_max_constants=extra_max,
-                    free_clock_when_zero=free_map)
-                proc_pool = ctx.Pool(self.jobs, initializer=_proc_init,
-                                     initargs=(spec,))
 
             frontier: list[_WaitEntry] = [init_entry]
             while frontier:
@@ -778,28 +602,24 @@ class ShardedZoneGraphExplorer:
                     break
                 # Phase 1: expand, sharded by discrete key.
                 slots: list[list] = [[] for _ in active]
-                if use_processes:
-                    self._expand_wave_processes(proc_pool, active, slots)
+                groups: dict[tuple, list] = {}
+                for pos, state in enumerate(active):
+                    groups.setdefault(state.key(), []).append(
+                        (pos, state))
+                if self.batched:
+                    def task(key, members):
+                        self._expand_group_batched(
+                            expander, key, members, slots)
                 else:
-                    groups: dict[tuple, list] = {}
-                    for pos, state in enumerate(active):
-                        groups.setdefault(state.key(), []).append(
-                            (pos, state))
-                    if self.batched:
-                        def task(key, members):
-                            self._expand_group_batched(
-                                expander, key, members, slots)
-                    else:
-                        def task(key, members):
-                            self._expand_group_scalar(
-                                key, members, slots)
-                    if pool is not None and len(groups) > 1:
-                        pool.run_wave([
-                            (lambda k=key, m=members: task(k, m))
-                            for key, members in groups.items()])
-                    else:
-                        for key, members in groups.items():
-                            task(key, members)
+                    def task(key, members):
+                        self._expand_group_scalar(key, members, slots)
+                if pool is not None and len(groups) > 1:
+                    pool.run_wave([
+                        (lambda k=key, m=members: task(k, m))
+                        for key, members in groups.items()])
+                else:
+                    for key, members in groups.items():
+                        task(key, members)
 
                 # Phase 2: deterministic per-shard merge in global order.
                 wave: list = []
@@ -816,12 +636,9 @@ class ShardedZoneGraphExplorer:
                     entries = [cand.entry for cand in cands]
                     if self.batched:
                         # The numpy bucket commits on a stacked row
-                        # matrix (candidates arrive as pipeline rows
-                        # in thread mode, as zones in process mode).
+                        # matrix of pipeline rows.
                         rows = np.stack(
-                            [cand.row.reshape(-1) if cand.row is not None
-                             else cand.zone._m.reshape(-1)
-                             for cand in cands])
+                            [cand.row.reshape(-1) for cand in cands])
                         flags = bucket.commit_batch(rows, entries)
                     else:
                         flags = bucket.commit_batch(
@@ -855,24 +672,18 @@ class ShardedZoneGraphExplorer:
                     succ = SymbolicState(item.locs, item.vals, zone)
                     item.entry.state = succ
                     if trace_on:
-                        src = item.src
-                        parents[(succ.key(), zone.frozen())] = (
-                            (src.key(), src.zone.frozen()), item.label)
+                        parents[succ] = (item.src, item.label)
                     if visit is not None:
                         visit(succ)
                     if stop is not None and stop(succ):
                         return ExplorationResult(
                             visited=stored, stopped=succ,
-                            trace=self.rebuild_trace(
-                                (succ.key(), zone.frozen())),
+                            trace=self.rebuild_trace(succ),
                             complete=False, transitions=transitions)
                     frontier.append(item.entry)
         finally:
             if pool is not None and own_pool:
                 pool.shutdown()
-            if proc_pool is not None:
-                proc_pool.terminate()
-                proc_pool.join()
         return ExplorationResult(visited=stored, complete=True,
                                  transitions=transitions)
 

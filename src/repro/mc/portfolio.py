@@ -42,19 +42,16 @@ concurrently:
   share step 1 (``PIM ⊨ P(Δ)``) and the Lemma-2 internal supremum —
   both are scheme-independent, so the portfolio computes each distinct
   obligation once (the values are exactly what every per-scheme run
-  would produce; disable with ``share_pim_obligations=False``).
+  would produce).  Under the process executor the parent computes
+  them and ships the values to the workers.
 
-Bit-identity contract: in the default mode each job runs *exactly* the
-sweeps of :meth:`repro.core.framework.TimingVerificationFramework.verify`
-— same constraint pass, same fused step-5/6 deadline sweep, same
-optional suprema batch — so every bound, verdict, sup and per-sweep
-states/transitions tally equals the sequential per-scheme run, for
-every worker count, backend *and executor*
-(``tests/test_portfolio.py`` pins the matrix).  ``fused=True`` additionally compiles each job's deadline and
-suprema queries into **one** :func:`~repro.mc.queries.check_many`
-sweep: verdicts, bounds and sup values are unchanged, but the tallies
-are those of the shared sweep (documented divergence, same as
-``check_many`` itself).
+Bit-identity contract: each job runs *exactly* the PSM sweep of
+:meth:`repro.core.framework.TimingVerificationFramework.verify` —
+one :meth:`~repro.core.framework.TimingVerificationFramework.check_psm`
+exploration answering the constraints, both deadlines and the optional
+suprema — so every bound, verdict, witness, sup and states/transitions
+tally equals the sequential per-scheme run, for every worker count,
+backend *and executor* (``tests/test_portfolio.py`` pins the matrix).
 
 Cross-scheme reuse (``reuse=True``) adds a third sharing layer on top
 of the pool and the intern table: a :class:`~repro.mc.memo.VerdictMemo`
@@ -191,7 +188,7 @@ class PortfolioResult:
     #: Dominating neighbor this row's Theorem-1 verdict was derived
     #: from (``prune_dominated=True``); ``None`` = verdict explored.
     derived_from: str | None = None
-    #: Occupancy maxima of this job's own complete deadline sweep —
+    #: Occupancy maxima of this job's own complete PSM sweep —
     #: internal evidence the process executor ships back so the parent
     #: can populate its memo (never serialized into :meth:`row`).
     occupancy: "dict[str, int] | None" = None
@@ -239,7 +236,7 @@ class PortfolioResult:
 
     @property
     def states(self) -> int | None:
-        """States of this job's PSM deadline sweep (steps 5+6).
+        """States of this job's PSM sweep (steps 3, 5 and 6).
 
         A memoized row keeps its donor's tallies — the occupancy
         certificate makes the two zone graphs identical, so they *are*
@@ -312,7 +309,6 @@ class PortfolioOutcome:
     jobs: int | None = None
     #: Scheme pipelines that ran concurrently.
     concurrency: int = 1
-    fused: bool = False
     #: Job-level executor that produced the rows.
     executor: str = "thread"
     wall_seconds: float = 0.0
@@ -434,11 +430,6 @@ class PortfolioVerifier:
     max_states:
         Default per-job exploration budget
         (:class:`PortfolioJob.max_states` overrides it per scheme).
-    fused:
-        Compile each job's deadline + suprema queries into one
-        :func:`~repro.mc.queries.check_many` sweep (identical verdicts
-        and sups; shared-sweep tallies).  Off by default so every row
-        is bit-identical to the per-scheme sequential ``verify``.
     intern:
         Zone-interning policy shared by all jobs: ``True`` (a fresh
         table scoped to each :meth:`run` call, so a long-lived CLI or
@@ -450,9 +441,6 @@ class PortfolioVerifier:
         property of the sharded engine, so with ``jobs=None`` (the
         sequential explorer, which never interns) this setting has no
         effect — exactly as everywhere else in the library.
-    share_pim_obligations:
-        Compute each distinct (PIM, requirement) obligation — step 1
-        and the internal supremum — once instead of once per scheme.
     backend:
         Zone-backend spec for every sweep of every job (``"auto"`` —
         also for ``None`` — or ``"reference"``/``"numpy"``/
@@ -511,9 +499,7 @@ class PortfolioVerifier:
                  executor: str | None = None,
                  concurrency: int | None = None,
                  max_states: int = 1_000_000,
-                 fused: bool = False,
                  intern: bool | ZoneInternTable = True,
-                 share_pim_obligations: bool = True,
                  backend: str | None = None,
                  abstraction: str | None = None,
                  reuse: bool = False,
@@ -530,9 +516,7 @@ class PortfolioVerifier:
         self.executor = executor
         self.concurrency = concurrency
         self.max_states = max_states
-        self.fused = fused
         self.intern = intern
-        self.share_pim_obligations = share_pim_obligations
         self.backend = requested_backend(backend)
         self.abstraction = resolve_abstraction(abstraction).name
         self.reuse = reuse
@@ -665,8 +649,7 @@ class PortfolioVerifier:
             raise callback_errors[0]
         outcome = PortfolioOutcome(
             results=list(results), jobs=resolved,
-            concurrency=concurrency, fused=self.fused,
-            reuse=self.reuse,
+            concurrency=concurrency, reuse=self.reuse,
             pool_width=pool.width if pool is not None else 0,
             pool_waves=pool.waves if pool is not None else 0,
             wall_seconds=time.perf_counter() - started)
@@ -880,9 +863,8 @@ class PortfolioVerifier:
         report.bounds = bounds_from_internal(
             job.scheme, job.input_channel, job.output_channel,
             internal)
-        deadlines = [job.deadline_ms, report.bounds.relaxed]
         if not self.reuse:
-            self._explore_job(job, framework, report, psm, deadlines)
+            self._explore_job(job, framework, report, psm)
             return None, None
         from repro.mc.memo import (
             MemoEntry,
@@ -891,7 +873,8 @@ class PortfolioVerifier:
         )
 
         model = psm_canonical_model(psm)
-        key = self._memo_key(job, psm, model, deadlines)
+        key = self._memo_key(
+            job, psm, model, [job.deadline_ms, report.bounds.relaxed])
         memo = self._memo
         fallback = False
         while True:
@@ -920,7 +903,7 @@ class PortfolioVerifier:
         try:
             track = occupancy_targets(model) if model.erased else ()
             maxima, complete = self._explore_job(
-                job, framework, report, psm, deadlines, track=track)
+                job, framework, report, psm, track=track)
             entry = MemoEntry(
                 donor=job.name, erased=model.erased,
                 maxima=maxima if complete else None,
@@ -942,94 +925,21 @@ class PortfolioVerifier:
         return None, (dict(maxima) if complete and maxima else None)
 
     def _explore_job(self, job: PortfolioJob, framework, report,
-                     psm, deadlines: list[int],
-                     track: Sequence[str] = (),
+                     psm, track: Sequence[str] = (),
                      ) -> "tuple[Mapping[str, int] | None, bool]":
-        """Steps 3 + 5/6 (+ optional sups): the exploration half.
+        """Steps 3 + 5/6 (+ optional sups): the one PSM sweep.
 
-        With ``track`` names the deadline sweep additionally records
-        occupancy maxima — a read-only observation
+        With ``track`` names the sweep additionally records occupancy
+        maxima — a read-only observation
         (:func:`~repro.mc.queries.check_many`'s ``track_maxima``), so
         verdicts, traces and tallies are untouched.  Returns
-        ``(maxima, complete)``; ``(None, False)`` when nothing was
-        tracked.
+        ``(maxima, complete)``.
         """
-        report.constraints = framework.check_constraints(
-            psm, min_interarrival_ms=job.min_interarrival_ms,
-            include_progress=job.include_progress)
-        outcome = None
-        if self.fused:
-            outcome = self._fused_psm_queries(job, framework, report,
-                                              psm, deadlines, track)
-        elif track:
-            # Same call verify_psm_deadlines makes, plus the watch
-            # list — bit-identical results.
-            from repro.mc.queries import (
-                BoundedResponseQuery,
-                check_many,
-            )
-
-            outcome = check_many(
-                psm.network,
-                [BoundedResponseQuery(job.input_channel,
-                                      job.output_channel, deadline)
-                 for deadline in deadlines],
-                max_states=framework.max_states, jobs=framework.jobs,
-                zone_backend=framework.backend,
-                abstraction=framework.abstraction, track_maxima=track)
-            report.psm_original_result = outcome[0]
-            report.psm_relaxed_result = outcome[1]
-            if job.measure_suprema:
-                report.symbolic = framework.measure_psm(
-                    psm, job.input_channel, job.output_channel)
-        else:
-            report.psm_original_result, report.psm_relaxed_result = \
-                framework.verify_psm_deadlines(
-                    psm, job.input_channel, job.output_channel,
-                    deadlines)
-            if job.measure_suprema:
-                report.symbolic = framework.measure_psm(
-                    psm, job.input_channel, job.output_channel)
-        if outcome is None:
-            return None, False
-        return outcome.maxima, outcome.complete
-
-    def _fused_psm_queries(self, job: PortfolioJob, framework, report,
-                           psm, deadlines: list[int],
-                           track: Sequence[str] = ()):
-        """One ``check_many`` sweep for steps 5+6 (+ optional sups)."""
-        from repro.mc.queries import (
-            BoundedResponseQuery,
-            ResponseSupQuery,
-            check_many,
-        )
-
-        queries: list[object] = [
-            BoundedResponseQuery(job.input_channel, job.output_channel,
-                                 deadline)
-            for deadline in deadlines
-        ]
-        if job.measure_suprema:
-            queries += [
-                ResponseSupQuery(job.input_channel,
-                                 psm.io_name(job.input_channel)),
-                ResponseSupQuery(psm.io_name(job.output_channel),
-                                 job.output_channel),
-                ResponseSupQuery(job.input_channel, job.output_channel),
-            ]
-        outcome = check_many(
-            psm.network, queries, max_states=framework.max_states,
-            jobs=framework.jobs, zone_backend=framework.backend,
-            abstraction=framework.abstraction, track_maxima=track)
-        report.psm_original_result = outcome[0]
-        report.psm_relaxed_result = outcome[1]
-        if job.measure_suprema:
-            report.symbolic = {
-                "Input-Delay": outcome[2],
-                "Output-Delay": outcome[3],
-                "M-C delay": outcome[4],
-            }
-        return outcome
+        sweep = framework.check_psm(
+            report, psm, min_interarrival_ms=job.min_interarrival_ms,
+            measure_suprema=job.measure_suprema,
+            include_progress=job.include_progress, track_maxima=track)
+        return sweep.maxima, sweep.complete
 
     def _memo_key(self, job: PortfolioJob, psm, model,
                   deadlines: list[int]) -> tuple:
@@ -1075,7 +985,6 @@ class PortfolioVerifier:
             tuple(deadlines),
             job.min_interarrival_ms, detection,
             job.measure_suprema, job.include_progress,
-            self.fused,
             job.max_states or self.max_states,
             self.backend, self.abstraction,
             tuple(sorted(vid(flag) for flag in psm.miss_flags())),
@@ -1219,10 +1128,6 @@ class PortfolioVerifier:
 
         obligations, obligation_of = \
             self._parent_obligations(job_list)
-        # Parent-side memoization needs the shared obligation values
-        # (the memoized row's analytic bounds come from them); with
-        # sharing disabled the memo degrades to worker-local no-ops.
-        pool_reuse = self.reuse and self.share_pim_obligations
         deferred = (self._dominance_plan(job_list)
                     if self.prune_dominated else {})
         width = min(resolved or 1, len(job_list) or 1)
@@ -1263,7 +1168,7 @@ class PortfolioVerifier:
                                     else None)))
             else:
                 self._run_process_pool(specs, obligations, width,
-                                       commit, reuse=pool_reuse)
+                                       commit, reuse=self.reuse)
 
         run_specs([spec for spec in pending
                    if spec.index not in deferred])
@@ -1288,7 +1193,7 @@ class PortfolioVerifier:
             raise callback_errors[0]
         outcome = PortfolioOutcome(
             results=list(results), jobs=resolved,
-            concurrency=width, fused=self.fused, executor="process",
+            concurrency=width, executor="process",
             reuse=self.reuse,
             wall_seconds=time.perf_counter() - started)
         outcome.tally_reuse()
@@ -1296,17 +1201,16 @@ class PortfolioVerifier:
 
     def _worker_verifier(self) -> "PortfolioVerifier":
         """The verifier a worker (or the inline fallback) runs jobs
-        on: sequential engine, no cross-job sharing — each row is
-        exactly the per-scheme sequential ``verify``.  ``reuse``
-        passes through: the inline fallback's single verifier shares
-        its memo across the batch; a worker process uses it only to
-        track the occupancy evidence the parent memoizes from."""
+        on: sequential engine, PIM obligations taken from the parent
+        — each row is exactly the per-scheme sequential ``verify``.
+        ``reuse`` passes through: the inline fallback's single
+        verifier shares its memo across the batch; a worker process
+        uses it only to track the occupancy evidence the parent
+        memoizes from."""
         return PortfolioVerifier(
             jobs=None, executor="thread", max_states=self.max_states,
-            fused=self.fused, intern=False,
-            share_pim_obligations=False, backend=self.backend,
-            abstraction=self.abstraction,
-            reuse=self.reuse)
+            intern=False, backend=self.backend,
+            abstraction=self.abstraction, reuse=self.reuse)
 
     def _run_process_pool(self, pending: list["_ProcessJobSpec"],
                           obligations: list[tuple], width: int,
@@ -1330,7 +1234,7 @@ class PortfolioVerifier:
         config = _ProcessConfig(
             engine=EngineConfig(backend=self.backend,
                                 abstraction=self.abstraction),
-            max_states=self.max_states, fused=self.fused,
+            max_states=self.max_states,
             obligations=tuple(value for _, value in obligations),
             reuse=reuse)
         executor = ProcessPoolExecutor(max_workers=width,
@@ -1471,12 +1375,8 @@ class PortfolioVerifier:
 
         Returns ``(values, obligation_of)`` where ``values[i]`` is
         ``("ok", (pim_result, internal))`` or ``("error", message)``
-        and ``obligation_of[j]`` indexes the value job ``j`` shares
-        (``None`` with ``share_pim_obligations=False`` — every worker
-        then computes its own).
+        and ``obligation_of[j]`` indexes the value job ``j`` shares.
         """
-        if not self.share_pim_obligations:
-            return [], [None] * len(job_list)
         from repro.core.framework import TimingVerificationFramework
 
         values: list[tuple] = []
@@ -1507,11 +1407,6 @@ class PortfolioVerifier:
     # ------------------------------------------------------------------
     def _pim_obligations(self, job: PortfolioJob, framework):
         """Step 1 + the Lemma-2 internal sup, deduped across jobs."""
-        def compute():
-            return _compute_obligation(job, framework)
-
-        if not self.share_pim_obligations:
-            return compute()
         key = (id(job.pim), job.input_channel, job.output_channel,
                job.deadline_ms, framework.max_states)
         with self._pim_lock:
@@ -1521,7 +1416,7 @@ class PortfolioVerifier:
                 entry = self._pim_cache[key] = _SharedObligation()
         if owner:
             try:
-                entry.value = compute()
+                entry.value = _compute_obligation(job, framework)
             except BaseException as exc:
                 entry.error = exc
                 raise
@@ -1690,7 +1585,6 @@ class _ProcessConfig:
 
     engine: EngineConfig
     max_states: int
-    fused: bool
     obligations: tuple = ()
     #: Track occupancy evidence in the workers so the parent can
     #: memoize their rows (the worker-local memo itself is inert —
@@ -1715,8 +1609,7 @@ def _process_worker_run(config: _ProcessConfig,
     """Run one job in this worker; always returns a structured row."""
     verifier = PortfolioVerifier(
         jobs=None, executor="thread", max_states=config.max_states,
-        fused=config.fused, intern=False, share_pim_obligations=False,
-        backend=config.engine.backend,
+        intern=False, backend=config.engine.backend,
         abstraction=config.engine.abstraction, reuse=config.reuse)
     obligation = (config.obligations[spec.obligation]
                   if spec.obligation is not None else None)

@@ -240,21 +240,17 @@ class _HitObserver:
     """Observer for reach-style queries: record the first satisfying
     state (the same state the individual BFS query would stop at)."""
 
-    __slots__ = ("predicate", "state", "node", "_trace")
+    __slots__ = ("predicate", "state")
 
-    def __init__(self, predicate, trace_on: bool):
+    def __init__(self, predicate):
         self.predicate = predicate
         self.state = None
-        self.node = None
-        self._trace = trace_on
 
     def visit(self, state: SymbolicState) -> bool:
         """Returns True when this visit resolved the query."""
         if self.state is not None or not self.predicate(state):
             return False
         self.state = state
-        if self._trace:
-            self.node = (state.key(), state.zone.frozen())
         return True
 
 
@@ -407,17 +403,17 @@ def check_many(
         for index, query in enumerate(queries):
             if isinstance(query, ReachQuery):
                 observers[index] = _HitObserver(
-                    query.formula.compile(compiled), trace_on)
+                    query.formula.compile(compiled))
             elif isinstance(query, SafetyQuery):
                 observers[index] = _HitObserver(
-                    query.bad.compile(compiled), trace_on)
+                    query.bad.compile(compiled))
             elif isinstance(query, BoundedResponseQuery):
                 clock, flag = pair_obs[(query.trigger, query.response)]
                 formula = StateFormula(
                     data=f"{flag} == 1",
                     clocks=f"{clock} > {query.deadline}")
                 observers[index] = _HitObserver(
-                    formula.compile(compiled), trace_on)
+                    formula.compile(compiled))
             elif isinstance(query, ResponseSupQuery):
                 clock, flag = pair_obs[(query.trigger, query.response)]
                 observers[index] = _SupObserver(
@@ -505,8 +501,8 @@ def check_many(
             hit_state = observer.state
             witness = (compiled.state_description(hit_state)
                        if hit_state is not None else None)
-            hit_trace = (explorer.rebuild_trace(observer.node)
-                         if observer.node is not None else None)
+            hit_trace = (explorer.rebuild_trace(hit_state)
+                         if hit_state is not None else None)
             if isinstance(query, ReachQuery):
                 results.append(ReachabilityResult(
                     reachable=hit_state is not None,

@@ -350,7 +350,7 @@ class JobScheduler:
         config = _ProcessConfig(
             engine=EngineConfig(backend=self.engine.backend,
                                 abstraction=self.engine.abstraction),
-            max_states=self.max_states, fused=False,
+            max_states=self.max_states,
             obligations=(obligation,), reuse=True)
         spec = _ProcessJobSpec(index=index, job=job, obligation=0)
         entry = None

@@ -122,8 +122,8 @@ def test_sequential_engine_matches_sharded_lu(backend):
 
 
 def test_process_mode_replays_lu_floors():
-    """Reference-backend process workers must reproduce the
-    coordinator's LU extrapolation (floors ship to ``_proc_init``)."""
+    """Reference-backend sharded workers must reproduce the
+    sequential engine's LU extrapolation, query floors included."""
     network = tiny_network()
     seq = check_bounded_response(network, "m_Req", "c_Ack", DEADLINE,
                                  zone_backend="reference",

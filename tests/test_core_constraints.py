@@ -66,9 +66,23 @@ class TestHappyPath:
         assert check_constraint3(good_psm).holds
         assert check_constraint4(good_psm).holds
 
-    def test_multi_pass_mode(self, good_psm):
-        report = check_all_constraints(good_psm, single_pass=False)
-        assert report.all_hold
+    @pytest.mark.parametrize("abstraction", ("extra_m", "extra_lu"))
+    def test_engine_knobs_reach_every_check(self, good_psm, abstraction):
+        from repro.zones.backend import available_backends
+
+        details = set()
+        for backend in available_backends():
+            report = check_all_constraints(
+                good_psm, zone_backend=backend, jobs=1,
+                abstraction=abstraction)
+            singles = [check(good_psm, zone_backend=backend,
+                             abstraction=abstraction)
+                       for check in (check_constraint1, check_constraint2,
+                                     check_constraint3, check_constraint4)]
+            assert [r.detail for r in report.results] == \
+                [r.detail for r in singles]
+            details.add(tuple(r.detail for r in singles))
+        assert len(details) == 1  # bit-identical on every backend
 
 
 class TestConstraint1Violation:
@@ -125,6 +139,16 @@ class TestConstraint2Violation:
         scheme = build_tiny_scheme(buffer_size=1, period=50)
         psm = transform(pim, scheme)
         assert not check_constraint2(psm).holds
+
+    def test_violation_names_flags_with_witness_and_trace(self):
+        pim = double_press_pim(gap=2)
+        scheme = build_tiny_scheme(buffer_size=1, period=50)
+        psm = transform(pim, scheme)
+        result = check_all_constraints(psm).results[1]
+        flag = psm.input_vars["m_Req"].overflow
+        assert not result.holds
+        assert f"flag(s) ['{flag}'] reachable (e.g. " in result.detail
+        assert result.counterexample  # the trace to the witness
 
 
 class TestConstraint3Violation:

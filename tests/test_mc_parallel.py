@@ -4,8 +4,8 @@ The satellite contract of the sharding PR: for every benchmark model
 (the tiny PSM and the case-study PSM), sharded exploration with
 ``jobs ∈ {1, 2, 4}`` on both zone backends yields **bit-identical**
 states, transitions, traces and sup-clock results vs the sequential
-:class:`ZoneGraphExplorer` — regardless of worker mode (batched
-threads for numpy, multiprocessing for the reference backend).
+:class:`ZoneGraphExplorer` — whether the thread workers expand
+through the batched kernels (numpy) or scalarly (reference).
 
 ``lazy_subsumption`` is the one documented divergence: the sharded
 wave structure prunes slightly less than the sequential lazy
@@ -14,6 +14,8 @@ there, not the tallies.
 """
 
 from __future__ import annotations
+
+import threading
 
 import pytest
 
@@ -120,14 +122,14 @@ def test_max_states_limit_matches(tiny_network, backend):
 
 @pytest.mark.parametrize("backend", BACKENDS)
 def test_forced_worker_modes_agree(tiny_network, backend):
-    """Cross modes: threads on reference, processes on numpy."""
+    """Thread workers agree with the sequential engine on every
+    backend (batched kernels on numpy, scalar expansion on
+    reference)."""
     expected = _state_sequence(
         ZoneGraphExplorer(tiny_network, zone_backend=backend))
-    for mode in ("thread", "process"):
-        explorer = ShardedZoneGraphExplorer(
-            tiny_network, jobs=2, mode=mode, zone_backend=backend)
-        assert explorer.mode == mode
-        assert _state_sequence(explorer) == expected
+    explorer = ShardedZoneGraphExplorer(
+        tiny_network, jobs=2, zone_backend=backend)
+    assert _state_sequence(explorer) == expected
 
 
 @pytest.mark.parametrize("backend", BACKENDS)
@@ -199,13 +201,23 @@ class TestJobsResolution:
                           ShardedZoneGraphExplorer)
 
     def test_auto_mode_by_backend(self, tiny_network):
+        """Every backend expands on threads — the reference backend
+        too, so a sweep started from a daemon thread never forks."""
+        import multiprocessing
+
         if "numpy" in BACKENDS:
             assert ShardedZoneGraphExplorer(
-                tiny_network, jobs=2,
-                zone_backend="numpy").mode == "thread"
-        assert ShardedZoneGraphExplorer(
-            tiny_network, jobs=2,
-            zone_backend="reference").mode == "process"
+                tiny_network, jobs=2, zone_backend="numpy").batched
+        explorer = ShardedZoneGraphExplorer(
+            tiny_network, jobs=2, zone_backend="reference")
+        assert not explorer.batched
+        done: list = []
+        worker = threading.Thread(
+            target=lambda: done.append(explorer.explore()), daemon=True)
+        worker.start()
+        worker.join(timeout=60)
+        assert done and done[0].complete
+        assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------

@@ -10,8 +10,8 @@ the process executor that partitions whole jobs across worker
 processes).  On top of the matrix: deterministic job-ordered commit,
 per-job ``max_states`` budgets, per-job fault isolation (including a
 worker process that dies outright), shared PIM obligations (computed
-in the parent and shipped to process workers), the fused single-sweep
-mode, executor resolution via ``REPRO_EXECUTOR``, and the
+in the parent and shipped to process workers), one PSM sweep per job,
+executor resolution via ``REPRO_EXECUTOR``, and the
 concurrent-wave worker pool itself.
 """
 
@@ -230,37 +230,32 @@ def test_shared_pim_obligations_computed_once():
     outcome = run_portfolio(schemes, jobs=2)
     first = outcome[0].report.pim_result
     assert all(row.report.pim_result is first for row in outcome)
-    # Opting out re-computes per job (equal values, fresh objects).
-    private = run_portfolio(schemes, jobs=2,
-                            share_pim_obligations=False)
-    assert private[0].report.pim_result is not \
-        private[1].report.pim_result
-    assert private[0].report.pim_result.visited == first.visited
 
 
-def test_fused_mode_same_verdicts_one_sweep(backend):
+def test_one_psm_sweep_per_job(backend):
+    """Constraints, both deadlines and the suprema of a PSM come from
+    one exploration — in ``verify`` and in every portfolio job."""
+    from repro.api import Session
     from repro.mc.explorer import exploration_count
 
-    schemes = grid_3x2()
-    default = run_portfolio(schemes, backend=backend, jobs=1)
+    session = Session(backend=backend)
+    framework = session.framework
+    pim, scheme = build_tiny_pim(), build_tiny_scheme()
     before = exploration_count()
-    fused = run_portfolio(schemes, backend=backend, jobs=1, fused=True)
-    fused_explorations = exploration_count() - before
-    for a, b in zip(default, fused):
-        assert a.report.bounds == b.report.bounds
-        assert a.original_holds == b.original_holds
-        assert a.relaxed_holds == b.relaxed_holds
-        # Sup *values* are sweep-independent; tallies are not.
-        assert {k: (v.bounded, v.sup, v.attained)
-                for k, v in a.sups.items()} == \
-            {k: (v.bounded, v.sup, v.attained)
-             for k, v in b.sups.items()}
-    # Per job: 1 shared PIM pair (first job only) + constraints +
-    # the fused deadline/sup sweep — strictly fewer sweeps than the
-    # default's separate deadline and suprema explorations.
-    default_explorations = 2 + 6 * 3
-    assert fused_explorations == 2 + 6 * 2
-    assert fused_explorations < default_explorations
+    framework.verify_pim(pim, "m_Req", "c_Ack", DEADLINE)
+    framework.derive_bounds(pim, scheme, "m_Req", "c_Ack")
+    pim_sweeps = exploration_count() - before
+    before = exploration_count()
+    report = session.verify(pim, scheme, deadline_ms=DEADLINE,
+                            measure_suprema=True, **CHANNELS)
+    assert exploration_count() - before == pim_sweeps + 1
+    assert report.constraints_hold and report.symbolic
+
+    before = exploration_count()
+    outcome = run_portfolio(grid_3x2(), backend=backend, jobs=1)
+    # The shared PIM pair (first job only) + one sweep per job.
+    assert exploration_count() - before == 2 + 6 * 1
+    assert outcome.all_ok
 
 
 def test_private_intern_table_is_used():
@@ -485,7 +480,7 @@ def test_process_worker_takes_its_config_as_an_argument():
         config = _ProcessConfig(
             engine=EngineConfig(backend=backend,
                                 abstraction="extra_lu"),
-            max_states=500_000, fused=False)
+            max_states=500_000)
         ZoneGraphExplorer.__init__ = spy
         try:
             row = _process_worker_run(
@@ -527,9 +522,8 @@ def test_process_on_result_error_reraises_after_all_rows():
 
 
 def test_process_obligations_computed_once_in_parent():
-    """With sharing on, the parent runs exactly the two
-    scheme-independent sweeps (step 1 + internal sup) and ships the
-    values; with sharing off, *all* exploration happens in workers."""
+    """The parent runs exactly the two scheme-independent sweeps
+    (step 1 + internal sup) and ships the values to the workers."""
     from repro.mc.explorer import exploration_count
 
     jobs = portfolio_jobs(build_tiny_pim(), grid_3x2(),
@@ -539,29 +533,6 @@ def test_process_obligations_computed_once_in_parent():
     shared_sweeps = exploration_count() - before
     assert outcome.all_ok
     assert shared_sweeps == 2
-    before = exploration_count()
-    private = PortfolioVerifier(jobs=2, executor="process",
-                                share_pim_obligations=False).run(jobs)
-    assert exploration_count() - before == 0
-    assert private.all_ok
-    for a, b in zip(outcome, private):
-        assert a.report.bounds == b.report.bounds
-        assert a.states == b.states
-
-
-def test_process_fused_mode_same_verdicts():
-    schemes = grid_3x2()
-    default = run_portfolio(schemes, jobs=2, executor="process")
-    fused = run_portfolio(schemes, jobs=2, executor="process",
-                          fused=True)
-    for a, b in zip(default, fused):
-        assert a.report.bounds == b.report.bounds
-        assert a.original_holds == b.original_holds
-        assert a.relaxed_holds == b.relaxed_holds
-        assert {k: (v.bounded, v.sup, v.attained)
-                for k, v in a.sups.items()} == \
-            {k: (v.bounded, v.sup, v.attained)
-             for k, v in b.sups.items()}
 
 
 def test_executor_resolution_and_validation(monkeypatch):

@@ -264,7 +264,7 @@ def _job_payload():
     obligation = _compute_obligation(job, TimingVerificationFramework())
     config = _ProcessConfig(
         engine=EngineConfig(), max_states=2_000_000,
-        fused=False, obligations=(obligation,), reuse=True)
+        obligations=(obligation,), reuse=True)
     return config, _ProcessJobSpec(index=0, job=job, obligation=0)
 
 
